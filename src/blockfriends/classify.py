@@ -9,8 +9,6 @@ which halves the sweep; a cross-check flag recomputes them directly.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -18,9 +16,16 @@ from math import comb
 import numpy as np
 
 from .blocks import full_mask, labels_from_mask
-from .designs import BlockDesign, DesignError, DesignParams, detect_design
+from .designs import (
+    BlockDesign,
+    DesignError,
+    DesignParams,
+    complement_params,
+    detect_design,
+)
+from .families import partitions_power_set
 from .friendship import are_friends
-from .profiles import IntersectionProfile
+from .profiles import IntersectionProfile, intersection_sizes, profile_rows
 
 SWEEP_LIMIT = 24
 
@@ -73,11 +78,6 @@ def _level_masks(v: int, n: int) -> np.ndarray:
     )
 
 
-def _signature_of(row: np.ndarray, k: int, n: int) -> IntersectionProfile:
-    z = np.bincount(row, minlength=k + 1)
-    return IntersectionProfile(tuple(int(x) for x in z[: k + 1]), n)
-
-
 def _annotate(v: int, members: tuple[int, ...]) -> tuple[DesignParams | None, str]:
     if len(members) == 1 and members[0] == 0:
         return None, "the empty set is not a block of any design"
@@ -95,18 +95,16 @@ def classify_level(
     v = parent.v
     if not 0 <= n <= v:
         raise DesignError(f"subset size {n} outside 0..{v}")
-    k = parent.k
     subs = _level_masks(v, n)
-    blocks = np.array(parent.blocks, dtype=np.uint64)
-    inter = np.bitwise_count(subs[:, None] & blocks[None, :]).astype(np.uint8)
-    rows = np.sort(inter, axis=1)
+    rows = profile_rows(intersection_sizes(subs, parent.blocks), parent.k)
+    # unique rows come back in lexicographic order, which is signature order
     uniq, inverse, counts = np.unique(
         rows, axis=0, return_inverse=True, return_counts=True
     )
     inverse = inverse.reshape(-1)
     classes = []
     for g in range(len(uniq)):
-        sig = _signature_of(uniq[g], k, n)
+        sig = IntersectionProfile(tuple(int(x) for x in uniq[g]), n)
         if keep_members:
             members = tuple(int(m) for m in subs[inverse == g])
             params, witness = _annotate(v, members)
@@ -115,7 +113,7 @@ def classify_level(
         classes.append(
             SubsetClass(v, n, sig, int(counts[g]), members, params, witness)
         )
-    return tuple(sorted(classes, key=lambda c: c.signature.z))
+    return tuple(classes)
 
 
 def _derive_complement_level(
@@ -133,9 +131,7 @@ def _derive_complement_level(
         else:
             members = None
             if cls.params is not None:
-                p = cls.params
-                params = DesignParams(v, p.b, p.b - p.r, v - p.k, p.b - 2 * p.r + p.lam)
-                witness = ""
+                params, witness = complement_params(cls.params), ""
             elif cls.witness == "members not retained":
                 params, witness = None, cls.witness
             elif cls.n == 0:
@@ -156,26 +152,18 @@ def classify_all(
     cross_check: bool = False,
     keep_members: bool = True,
 ) -> Subdivision:
-    """Classify every level 0..v.  Results never depend on the thread count."""
+    """Classify every level 0..v.
+
+    `threads` is accepted for compatibility and has no effect on the work
+    done or the results.
+    """
     v = parent.v
     if v > sweep_limit:
         raise DesignError(
             f"v={v} exceeds sweep limit {sweep_limit}; classify levels one at a time"
         )
     direct = range(0, v // 2 + 1) if use_complement else range(0, v + 1)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    levels: dict[int, tuple[SubsetClass, ...]] = {}
-    if threads > 1 and len(direct) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                n: pool.submit(classify_level, parent, n, keep_members) for n in direct
-            }
-            for n, fut in futures.items():
-                levels[n] = fut.result()
-    else:
-        for n in direct:
-            levels[n] = classify_level(parent, n, keep_members)
+    levels = {n: classify_level(parent, n, keep_members) for n in direct}
     if use_complement:
         for n in range(v // 2 + 1, v + 1):
             levels[n] = _derive_complement_level(levels[v - n], v, parent.k, keep_members)
@@ -224,6 +212,7 @@ def analyze(sub: Subdivision, threads: int | None = None) -> SubdivisionReport:
     Non-design classes still take part in the friendship sweep as raw
     families.  The headline verdict is true when every class is a design
     (degenerate levels by convention) and all distinct pairs are friends.
+    `threads` is accepted for compatibility and has no effect.
     """
     flat = sub.all_classes()
     v = sub.v
@@ -239,20 +228,9 @@ def analyze(sub: Subdivision, threads: int | None = None) -> SubdivisionReport:
 
     m = len(fams)
     matrix = [[True] * m for _ in range(m)]
-
-    def pair(i: int, j: int) -> tuple[int, int, bool]:
-        return i, j, are_friends(fams[i], fams[j]).friends
-
-    tasks = [(i, j) for i in range(m) for j in range(i, m)]
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: pair(*t), tasks))
-    else:
-        results = [pair(i, j) for i, j in tasks]
-    for i, j, ok in results:
-        matrix[i][j] = matrix[j][i] = ok
+    for i in range(m):
+        for j in range(i, m):
+            matrix[i][j] = matrix[j][i] = are_friends(fams[i], fams[j]).friends
 
     self_friend = tuple(matrix[i][i] for i in range(m))
     level_friendly = []
@@ -264,14 +242,7 @@ def analyze(sub: Subdivision, threads: int | None = None) -> SubdivisionReport:
     family_friendly = all(
         matrix[i][j] for i in range(m) for j in range(i + 1, m)
     )
-    seen: set[int] = set()
-    duplicated = False
-    for fam in fams:
-        for blk in fam.blocks:
-            if blk in seen:
-                duplicated = True
-            seen.add(blk)
-    alpha_ok = not duplicated and len(seen) == 1 << v
+    alpha_ok = partitions_power_set(v, fams)
     conjecture = all(designs_flags) and family_friendly
     return SubdivisionReport(
         sub,

@@ -86,8 +86,11 @@ def cmd_verify(args) -> int:
 
 def cmd_profile(args) -> int:
     d = _load(args.design, raw=args.family)
-    labels = [int(tok) for tok in args.set.split(",") if tok.strip()] if args.set else []
-    probe = mask_from_labels(labels, d.v)
+    try:
+        labels = [int(tok) for tok in args.set.split(",") if tok.strip()]
+        probe = mask_from_labels(labels, d.v)
+    except ValueError as exc:
+        raise DesignError(f"bad --set {args.set!r}: {exc}") from exc
     p = profile(d, probe)
     lines = [
         f"design: {d.name} ({_params_str(d)})",
@@ -177,7 +180,7 @@ def cmd_classify(args) -> int:
         levels = {args.n: classify_level(parent, args.n, keep_members=keep)}
         sub = None
     else:
-        sub = classify_all(parent, threads=args.threads, keep_members=keep)
+        sub = classify_all(parent, keep_members=keep)
         levels = {n: sub.levels[n] for n in range(parent.v + 1)}
     payload["levels"] = {}
     for n, classes in sorted(levels.items()):
@@ -188,7 +191,7 @@ def cmd_classify(args) -> int:
         payload["levels"][str(n)] = [_class_json(c) for c in classes]
     if args.report:
         if sub is not None:
-            report = analyze(sub, threads=args.threads)
+            report = analyze(sub)
             lines.append("report:")
             for n in range(parent.v + 1):
                 lines.append(
@@ -406,6 +409,13 @@ def cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _thread_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="blockfriends",
@@ -413,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         "friendly-family posets, power-set classification.",
     )
     ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    ap.add_argument("--threads", type=int, default=None, metavar="N",
-                    help="bound parallelism (results never depend on it)")
+    ap.add_argument("--threads", type=_thread_count, default=None, metavar="N",
+                    help="accepted for compatibility; has no effect on work or results")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check a design file against the axioms")

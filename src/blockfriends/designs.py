@@ -30,6 +30,12 @@ class DesignParams(NamedTuple):
     lam: int
 
 
+def complement_params(p: DesignParams) -> DesignParams:
+    """Parameters of the complementary design: (v, b, b-r, v-k, b-2r+lambda)."""
+    v, b, r, k, lam = p
+    return DesignParams(v, b, b - r, v - k, b - 2 * r + lam)
+
+
 def admissible(p: DesignParams) -> bool:
     """True iff b*k = v*r and r*(k-1) = lambda*(v-1)."""
     return p.b * p.k == p.v * p.r and p.r * (p.k - 1) == p.lam * (p.v - 1)
@@ -118,9 +124,10 @@ def detect_design(blocks, v: int) -> tuple[Optional[DesignParams], str]:
     k = int(sizes[0])
     if k == 0:
         return None, "the empty set is not a block of any design"
-    counts = np.array(
-        [int(((arr >> np.uint64(e)) & np.uint64(1)).sum()) for e in range(v)]
-    )
+    bits = np.arange(v, dtype=np.uint64)[:, None]
+    incidence = (arr >> bits) & np.uint64(1)  # element x block
+    gram = incidence @ incidence.T  # entry (x, y): blocks holding both x and y
+    counts = gram.diagonal()
     if counts.min() != counts.max():
         lo, hi = int(counts.argmin()), int(counts.argmax())
         return None, (
@@ -130,22 +137,15 @@ def detect_design(blocks, v: int) -> tuple[Optional[DesignParams], str]:
     r = int(counts[0])
     if k == 1:
         return DesignParams(v, len(masks), r, 1, 0), ""
-    lo_pair = hi_pair = None
-    lo_n = hi_n = None
-    for x in range(1, v + 1):
-        for y in range(x + 1, v + 1):
-            pm = np.uint64((1 << (x - 1)) | (1 << (y - 1)))
-            n = int(((arr & pm) == pm).sum())
-            if lo_n is None or n < lo_n:
-                lo_n, lo_pair = n, (x, y)
-            if hi_n is None or n > hi_n:
-                hi_n, hi_pair = n, (x, y)
-    if lo_n != hi_n:
+    xs, ys = np.triu_indices(v, 1)  # pairs x < y in lexicographic order
+    lams = gram[xs, ys]
+    lo, hi = int(lams.argmin()), int(lams.argmax())
+    if lams[lo] != lams[hi]:
         return None, (
-            f"pair {{{lo_pair[0]},{lo_pair[1]}}} in {lo_n} blocks, "
-            f"pair {{{hi_pair[0]},{hi_pair[1]}}} in {hi_n}"
+            f"pair {{{xs[lo] + 1},{ys[lo] + 1}}} in {lams[lo]} blocks, "
+            f"pair {{{xs[hi] + 1},{ys[hi] + 1}}} in {lams[hi]}"
         )
-    return DesignParams(v, len(masks), r, k, lo_n), ""
+    return DesignParams(v, len(masks), r, k, int(lams[0])), ""
 
 
 def design(v: int, blocks, name: str = "") -> BlockDesign:
@@ -218,8 +218,7 @@ def complement_design(d: BlockDesign, name: str | None = None) -> BlockDesign:
         params, _ = detect_design(masks, d.v)
         out = BlockDesign(d.v, masks, params, name)
     if d.params is not None and out.params is not None:
-        v, b, r, k, lam = d.params
-        expected = DesignParams(v, b, b - r, v - k, b - 2 * r + lam)
+        expected = complement_params(d.params)
         if out.params != expected:
             raise AssertionError(f"complement params {out.params} != {expected}")
     return out

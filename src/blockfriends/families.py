@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .blocks import as_mask, format_block, labels_from_mask, proper_submasks
 from .designs import BlockDesign, DesignError
 from .friendship import are_friends
@@ -86,6 +88,7 @@ class OrderRelation:
     pairs: frozenset  # of (i, j) with member i below member j
     is_transitive: bool
     closure_antisymmetric: bool
+    closure: frozenset  # transitive closure of pairs
 
 
 def order_relation(f: FriendlyFamily) -> OrderRelation:
@@ -94,38 +97,32 @@ def order_relation(f: FriendlyFamily) -> OrderRelation:
     pairs = frozenset(
         (i, j) for i in range(n) for j in range(n) if i != j and less_than(f, i, j)
     )
-    transitive = all(
-        (i, l) in pairs for (i, j) in pairs for (jj, l) in pairs if j == jj
-    )
-    closure = _transitive_closure(pairs, n)
+    reach = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        reach[i, j] = True
+    for x in range(n):  # Warshall: admit x as an intermediate member
+        reach |= np.outer(reach[:, x], reach[x])
+    closure = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(reach)))
     antisymmetric = not any((j, i) in closure for (i, j) in closure if i != j)
-    return OrderRelation(f, pairs, transitive, antisymmetric)
+    return OrderRelation(f, pairs, closure == pairs, antisymmetric, closure)
 
 
-def _transitive_closure(pairs, n: int) -> set:
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in list(closure):
-            for (jj, l) in list(closure):
-                if j == jj and (i, l) not in closure:
-                    closure.add((i, l))
-                    changed = True
-    return closure
-
-
-def check_alpha_hypotheses(f: FriendlyFamily) -> bool:
-    """True iff the members' blocks are pairwise disjoint and cover the power set."""
+def partitions_power_set(v: int, designs) -> bool:
+    """True iff the designs' blocks are pairwise disjoint and cover the power set of V."""
     seen: set[int] = set()
     total = 0
-    for d in f.members:
+    for d in designs:
         for m in d.blocks:
             if m in seen:
                 return False
             seen.add(m)
             total += 1
-    return total == 1 << f.v
+    return total == 1 << v
+
+
+def check_alpha_hypotheses(f: FriendlyFamily) -> bool:
+    """True iff the members' blocks are pairwise disjoint and cover the power set."""
+    return partitions_power_set(f.v, f.members)
 
 
 def _alpha_table(f: FriendlyFamily) -> dict[int, int]:
@@ -160,7 +157,7 @@ def check_order_preservation(f: FriendlyFamily) -> bool:
 def transitive_reduction(rel: OrderRelation) -> frozenset:
     """Covering pairs of the order: the transitive reduction of its closure."""
     n = len(rel.family.members)
-    closure = _transitive_closure(rel.pairs, n)
+    closure = rel.closure
     return frozenset(
         (i, j)
         for (i, j) in closure
@@ -171,8 +168,7 @@ def transitive_reduction(rel: OrderRelation) -> frozenset:
 def export_hasse(rel: OrderRelation) -> str:
     """DOT digraph of the covering relation, nodes labeled name (v,b,r,k,lambda)."""
     f = rel.family
-    n = len(f.members)
-    closure = _transitive_closure(rel.pairs, n)
+    closure = rel.closure
     cycle = [(i, j) for (i, j) in closure if (j, i) in closure]
     if cycle:
         raise DesignError(f"relation has a cycle through pair {cycle[0]}")

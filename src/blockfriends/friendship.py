@@ -17,6 +17,8 @@ import numpy as np
 from .designs import BlockDesign, DesignError, full_design
 from .profiles import (
     IntersectionProfile,
+    intersection_sizes,
+    profile_rows,
     self_friend_case,
     theoretical_self_profile,
 )
@@ -44,43 +46,29 @@ class FriendshipVerdict:
     theorem_case: str | None = None
 
 
-def _intersection_matrix(d1: BlockDesign, d2: BlockDesign) -> np.ndarray:
-    a = np.array(d1.blocks, dtype=np.uint64)
-    b = np.array(d2.blocks, dtype=np.uint64)
-    return np.bitwise_count(a[:, None] & b[None, :]).astype(np.uint8)
-
-
-def _histogram(column: np.ndarray, k: int, m: int) -> IntersectionProfile:
-    z = np.bincount(column, minlength=k + 1)
-    return IntersectionProfile(tuple(int(x) for x in z[: k + 1]), m)
-
-
-def _first_unequal(sorted_axis: np.ndarray) -> int:
-    diff = (sorted_axis != sorted_axis[:, :1]).any(axis=0)
-    return int(np.flatnonzero(diff)[0])
-
-
 def are_friends(d1: BlockDesign, d2: BlockDesign) -> FriendshipVerdict:
     """Decide friendship; d1 and d2 may be the same design.
 
     On success the two common profiles are returned.  On failure the witness
-    names a pair of probe blocks whose profiles differ and which side failed.
+    names a pair of probe blocks whose profiles differ and which side failed:
+    probe 0 and the first probe whose profile differs from it, side 1 first.
     Raw non-design families are accepted and flagged via inputs_are_designs.
     """
     if d1.v != d2.v:
         raise DesignError(f"ground sets differ: {d1.v} vs {d2.v}")
     flags = (d1.counts_as_design, d2.counts_as_design)
-    inter = _intersection_matrix(d1, d2)
-    cols = np.sort(inter, axis=0)
-    if not bool((cols == cols[:, :1]).all()):
-        j = _first_unequal(cols)
-        return FriendshipVerdict(False, None, None, ProfileMismatch(1, 0, j), flags)
-    rows = np.sort(inter.T, axis=0)
-    if not bool((rows == rows[:, :1]).all()):
-        i = _first_unequal(rows)
-        return FriendshipVerdict(False, None, None, ProfileMismatch(2, 0, i), flags)
-    p12 = _histogram(inter[:, 0], d1.k, d2.k)
-    p21 = _histogram(inter[0, :], d2.k, d1.k)
+    inter = intersection_sizes(d1.blocks, d2.blocks)
+    common = []
+    # side 1: d1 probed by each block of d2; side 2: d2 probed by each block of d1
+    for side, (sizes, k) in enumerate(((inter.T, d1.k), (inter, d2.k)), start=1):
+        rows = profile_rows(sizes, k)
+        differ = np.flatnonzero((rows != rows[0]).any(axis=1))
+        if differ.size:
+            witness = ProfileMismatch(side, 0, int(differ[0]))
+            return FriendshipVerdict(False, None, None, witness, flags)
+        common.append(tuple(int(x) for x in rows[0]))
+    p12 = IntersectionProfile(common[0], d2.k)
+    p21 = IntersectionProfile(common[1], d1.k)
     return FriendshipVerdict(True, p12, p21, None, flags)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .blocks import as_mask
 from .designs import BlockDesign, DesignError, DesignParams
 
@@ -42,15 +44,29 @@ class IntersectionProfile:
         return "(" + ",".join(str(x) for x in self.display) + ")"
 
 
+def intersection_sizes(probes, blocks) -> np.ndarray:
+    """uint8 matrix whose entry (i, j) is the popcount of probes[i] & blocks[j]."""
+    p = np.asarray(probes, dtype=np.uint64)
+    b = np.asarray(blocks, dtype=np.uint64)
+    return np.bitwise_count(p[:, None] & b[None, :])
+
+
+def profile_rows(sizes: np.ndarray, k: int) -> np.ndarray:
+    """Row i holds (z_0, ..., z_k): how many entries of sizes[i] equal each j.
+
+    With sizes = intersection_sizes(probes, blocks) and k the block size,
+    row i is the profile of the blocks against probes[i].
+    """
+    return np.stack([(sizes == j).sum(axis=1) for j in range(k + 1)], axis=1)
+
+
 def profile(d: BlockDesign, probe) -> IntersectionProfile:
     """Count the blocks of d by the size of their intersection with the probe set."""
     m = as_mask(probe, d.v)
     if m >> d.v:
         raise DesignError(f"probe not within ground set of size {d.v}")
-    z = [0] * (d.k + 1)
-    for blk in d.blocks:
-        z[(blk & m).bit_count()] += 1
-    return IntersectionProfile(tuple(z), m.bit_count())
+    z = profile_rows(intersection_sizes([m], d.blocks), d.k)[0]
+    return IntersectionProfile(tuple(int(x) for x in z), m.bit_count())
 
 
 def check_moment_identities(p: IntersectionProfile, params: DesignParams) -> bool:

@@ -214,3 +214,16 @@ def test_json_outputs_parse(capsys, fano_file, d5_file):
 def test_io_error_exit_code(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/file.design")
     assert code == 2
+
+
+@pytest.mark.parametrize("labels", ["1,x", "1,1", "1,99"])
+def test_profile_bad_set_exit_code(capsys, fano_file, labels):
+    code, _, err = run(capsys, "profile", fano_file, "--set", labels)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_threads_below_one_rejected(capsys, fano_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "0", "verify", fano_file])
+    assert exc.value.code == 2

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from blockfriends import (
     are_friends,
     build_family,
+    catalog,
     check_count_identity,
     check_moment_identities,
     classify_all,
@@ -27,6 +28,7 @@ from blockfriends import (
     sts13_s1,
     sts13_s2,
 )
+from oracle_util import brute_profile, labels
 
 MANY = settings(
     max_examples=220,
@@ -183,3 +185,39 @@ def test_build_family_order_insensitive(members):
         "full-0", "full-1", "full-2", "non-fano-triples", "fano",
         "non-fano-quads", "fano-complement", "full-5", "full-6", "full-7",
     ]
+
+
+def _witness_pool():
+    """Catalog designs, their level classes and complements, grouped by v."""
+    by_v = {}
+    for e in catalog():
+        if e.design is None:
+            continue
+        d = e.design
+        pool = [d] + [
+            cls.to_family(f"{e.name}-{n}-{j}")
+            for n, level in enumerate(classify_all(d).levels)
+            for j, cls in enumerate(level)
+            if 0 < n < d.v and cls.size <= 300
+        ]
+        by_v.setdefault(d.v, []).extend(pool + [complement_design(x) for x in pool])
+    return [(a, b) for fams in by_v.values() for a in fams for b in fams]
+
+
+def _oracle_witness(a, b):
+    """(side, 0, j): j is the lowest probe whose brute-force profile differs
+    from probe 0's, side 1 (a probed by the blocks of b) tried first."""
+    for side, (target, probes) in enumerate(((a, b), (b, a)), start=1):
+        blocks, probe_sets = labels(target), labels(probes)
+        first = brute_profile(blocks, probe_sets[0], target.k)
+        for j, probe in enumerate(probe_sets):
+            if brute_profile(blocks, probe, target.k) != first:
+                return (side, 0, j)
+    return None
+
+
+@settings(MANY, max_examples=150)
+@given(st.sampled_from(_witness_pool()))
+def test_witness_is_first_differing_probe(pair):
+    a, b = pair
+    assert are_friends(a, b).witness == _oracle_witness(a, b)
