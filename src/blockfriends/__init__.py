@@ -54,10 +54,12 @@ from .families import (
     transitive_reduction,
 )
 from .classify import (
+    LevelReport,
     SubsetClass,
     Subdivision,
     SubdivisionReport,
     analyze,
+    analyze_level,
     classify_all,
     classify_level,
     theorem_k3_classes,

@@ -10,7 +10,6 @@ which halves the sweep; a cross-check flag recomputes them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -28,6 +27,8 @@ from .friendship import are_friends
 from .profiles import IntersectionProfile, intersection_sizes, profile_rows
 
 SWEEP_LIMIT = 24
+# intersection-matrix cells per chunk of classify_level (about 2 MB of uint64)
+CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -66,16 +67,41 @@ class Subdivision:
 
 
 def _level_masks(v: int, n: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros(1, dtype=np.uint64)
-    flat = np.fromiter(
-        (i for c in combinations(range(v), n) for i in c),
-        dtype=np.int64,
-        count=comb(v, n) * n,
-    ).reshape(-1, n)
-    return np.bitwise_or.reduce(
-        np.left_shift(np.uint64(1), flat.astype(np.uint64)), axis=1
-    )
+    """Every n-subset of the ground set as a mask, in lexicographic order of
+    label tuples (not ascending mask order: {1,4} precedes {2,3}).
+
+    Built by prefix extension (Knuth, TAOCP 4A, 7.2.1.3): step i repeats each
+    prefix once per admissible next element, from one above its largest
+    element up to v-n+i, so every prefix built can still be completed and no
+    step holds more than C(v,n) masks.
+    """
+    masks = np.zeros(1, dtype=np.uint64)
+    top = np.full(1, -1, dtype=np.int64)  # largest element of each prefix
+    for i in range(n):
+        reps = (v - n + i) - top
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        top = np.repeat(top, reps) + 1 + (np.arange(first.size) - first)
+        masks = np.repeat(masks, reps) | (np.uint64(1) << top.astype(np.uint64))
+    return masks
+
+
+def _key_weights(b: int, k: int) -> np.ndarray:
+    """Weights that turn a row of intersection sizes into an exact sort key.
+
+    Row w packs the profile entries z_{wc}..z_{wc+c-1} in base b+1, the lowest
+    index most significant, where c is the most base-(b+1) digits an int64
+    holds.  Summing W[w, sizes] over a row's blocks gives word w of its key;
+    the words compared in turn order rows exactly as their signatures
+    (z_0..z_k).  Small parents need one word; PG(2,4) packs all six entries
+    into 22^6.
+    """
+    c = 1
+    while c <= k and (b + 1) ** (c + 1) <= 2**63:
+        c += 1
+    w = np.zeros(((k + c) // c, k + 1), dtype=np.int64)
+    for t in range(k + 1):
+        w[t // c, t] = (b + 1) ** (c - 1 - t % c)
+    return w
 
 
 def _annotate(v: int, members: tuple[int, ...]) -> tuple[DesignParams | None, str]:
@@ -90,29 +116,43 @@ def classify_level(
     """Group all n-subsets of the ground set by profile against the parent.
 
     Classes come back sorted by signature; members within a class keep the
-    lexicographic enumeration order.
+    lexicographic enumeration order.  The intersection matrix is built
+    CHUNK_CELLS cells at a time, so its memory does not grow with the level.
+    Levels of more than 2^SWEEP_LIMIT subsets are refused before any work.
     """
     v = parent.v
     if not 0 <= n <= v:
         raise DesignError(f"subset size {n} outside 0..{v}")
+    if comb(v, n) > 1 << SWEEP_LIMIT:
+        raise DesignError(
+            f"level n={n} has C({v},{n}) = {comb(v, n)} subsets, "
+            f"above the sweep limit 2^{SWEEP_LIMIT}"
+        )
     subs = _level_masks(v, n)
-    rows = profile_rows(intersection_sizes(subs, parent.blocks), parent.k)
-    # unique rows come back in lexicographic order, which is signature order
-    uniq, inverse, counts = np.unique(
-        rows, axis=0, return_inverse=True, return_counts=True
+    weights = _key_weights(parent.b, parent.k)
+    blocks = np.asarray(parent.blocks, dtype=np.uint64)
+    keys = np.empty((len(weights), subs.size), dtype=np.int64)
+    step = max(1, CHUNK_CELLS // parent.b)
+    for lo in range(0, subs.size, step):
+        sizes = intersection_sizes(subs[lo : lo + step], blocks)
+        keys[:, lo : lo + step] = weights[:, sizes].sum(axis=2)
+    order = np.lexsort(keys[::-1])  # stable: members stay in enumeration order
+    ordered = keys[:, order]
+    starts = np.flatnonzero(
+        np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
     )
-    inverse = inverse.reshape(-1)
+    ends = np.r_[starts[1:], subs.size]
+    firsts = subs[order[starts]]
+    sigs = profile_rows(intersection_sizes(firsts, blocks), parent.k)
     classes = []
-    for g in range(len(uniq)):
-        sig = IntersectionProfile(tuple(int(x) for x in uniq[g]), n)
+    for sig_row, lo, hi in zip(sigs.tolist(), starts.tolist(), ends.tolist()):
+        sig = IntersectionProfile(tuple(sig_row), n)
         if keep_members:
-            members = tuple(int(m) for m in subs[inverse == g])
+            members = tuple(subs[order[lo:hi]].tolist())
             params, witness = _annotate(v, members)
         else:
             members, (params, witness) = None, (None, "members not retained")
-        classes.append(
-            SubsetClass(v, n, sig, int(counts[g]), members, params, witness)
-        )
+        classes.append(SubsetClass(v, n, sig, hi - lo, members, params, witness))
     return tuple(classes)
 
 
@@ -254,6 +294,33 @@ def analyze(sub: Subdivision, threads: int | None = None) -> SubdivisionReport:
         family_friendly,
         alpha_ok,
         conjecture,
+    )
+
+
+@dataclass(frozen=True)
+class LevelReport:
+    """Friendship verdicts over the classes of one level, in class order."""
+
+    self_friend: tuple[bool, ...]
+    friends_with_parent: tuple[bool, ...]
+    level_friendly: bool  # every two distinct classes are friends
+
+
+def analyze_level(
+    parent: BlockDesign, classes: tuple[SubsetClass, ...]
+) -> LevelReport:
+    """Check each class of one level against itself, the parent and the others."""
+    fams = [c.to_family(f"class-{c.n}-{j + 1}") for j, c in enumerate(classes)]
+    m = len(fams)
+    pair_ok = {
+        (i, j): are_friends(fams[i], fams[j]).friends
+        for i in range(m)
+        for j in range(i, m)
+    }
+    return LevelReport(
+        tuple(pair_ok[(j, j)] for j in range(m)),
+        tuple(are_friends(f, parent).friends for f in fams),
+        all(pair_ok[(i, j)] for i in range(m) for j in range(i + 1, m)),
     )
 
 

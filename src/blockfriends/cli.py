@@ -28,7 +28,7 @@ from .fields import FieldError, load_field_tables, prime_field, _is_prime
 from .files import load_design, load_family, save_design
 from .friendship import are_friends, check_count_identity
 from .profiles import check_moment_identities, profile
-from .classify import analyze, classify_all, classify_level
+from .classify import analyze, analyze_level, classify_all, classify_level
 from .planes import projective_plane
 from .catalog import catalog
 from .selfcheck import run_selfcheck
@@ -209,28 +209,20 @@ def cmd_classify(args) -> int:
                 "conjecture": report.conjecture,
             }
         else:
-            n = args.n
-            classes = levels[n]
-            fams = [c.to_family(f"class-{n}-{j + 1}") for j, c in enumerate(classes)]
-            pair_ok = {}
-            for i in range(len(fams)):
-                for j in range(i, len(fams)):
-                    pair_ok[(i, j)] = are_friends(fams[i], fams[j]).friends
-            with_parent = [are_friends(f, parent).friends for f in fams]
-            level_friendly = all(
-                pair_ok[(i, j)] for i in range(len(fams)) for j in range(i + 1, len(fams))
-            )
+            rep = analyze_level(parent, levels[args.n])
             lines.append("report:")
-            for j, f in enumerate(fams):
+            for j, (own, with_parent) in enumerate(
+                zip(rep.self_friend, rep.friends_with_parent)
+            ):
                 lines.append(
-                    f"  class {j + 1}: self-friend {'yes' if pair_ok[(j, j)] else 'no'}, "
-                    f"friends with parent {'yes' if with_parent[j] else 'no'}"
+                    f"  class {j + 1}: self-friend {'yes' if own else 'no'}, "
+                    f"friends with parent {'yes' if with_parent else 'no'}"
                 )
-            lines.append(f"  level friendly: {'yes' if level_friendly else 'no'}")
+            lines.append(f"  level friendly: {'yes' if rep.level_friendly else 'no'}")
             payload["report"] = {
-                "self_friend": [pair_ok[(j, j)] for j in range(len(fams))],
-                "friends_with_parent": with_parent,
-                "level_friendly": level_friendly,
+                "self_friend": list(rep.self_friend),
+                "friends_with_parent": list(rep.friends_with_parent),
+                "level_friendly": rep.level_friendly,
             }
     if args.emit_classes:
         outdir = Path(args.emit_classes)

@@ -1,17 +1,25 @@
+import random
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import blockfriends.classify as classify_mod
 from blockfriends import (
     DesignError,
     DesignParams,
     analyze,
+    analyze_level,
     are_friends,
+    catalog,
     classify_all,
     classify_level,
+    complement_design,
+    family,
     fano,
     fano_family_members,
     full_design,
+    labels_from_mask,
     nine_point_design,
     non_fano_triples,
     prime_field,
@@ -228,3 +236,79 @@ def test_theorem_matches_exhaustive_for_all_k3_parents():
             assert {frozenset(c.members) for c in lv4} == {
                 frozenset(d1.members), frozenset(d2.members)}
             assert {c.params for c in lv4} == {q1, q2}
+
+
+def test_level_size_guard():
+    with pytest.raises(DesignError, match="sweep limit"):
+        classify_level(full_design(27, 1), 13)  # C(27,13) > 2^24 >= C(26,13)
+
+
+def test_exact_keys_when_base_overflows_int64():
+    parent = full_design(16, 6)  # (b+1)^(k+1) = 8009^7 > 2^63
+    assert len(classify_mod._key_weights(parent.b, parent.k)) > 1
+    (cls,) = classify_level(parent, 3)
+    assert cls.signature.z == tuple(comb(3, i) * comb(13, 6 - i) for i in range(7))
+    assert cls.size == comb(16, 3)
+    rng = random.Random(16)
+    half = family(16, [blk for blk in parent.blocks if rng.random() < 0.5])
+    assert len(classify_mod._key_weights(half.b, half.k)) > 1
+    assert _as_oracle(classify_level(half, 2)) == _oracle(half, 2)
+
+
+def test_members_in_label_tuple_order_not_mask_order():
+    (cls,) = classify_level(full_design(4, 1), 2)
+    assert cls.members.index(0b1001) < cls.members.index(0b0110)  # {1,4}, {2,3}
+
+
+def _as_oracle(classes):
+    return [(c.signature.z, c.size, [labels_from_mask(m) for m in c.members])
+            for c in classes]
+
+
+def _oracle(parent, n):
+    groups = brute_classify(labels(parent), parent.k, parent.v, n)
+    return sorted((sig, len(ms), ms) for sig, ms in groups.items())
+
+
+def _cyclic_development(v, base):
+    """Raw family of the distinct translates of a base block mod v."""
+    blocks = {tuple(sorted((x + i) % v + 1 for x in base)) for i in range(v)}
+    return family(v, sorted(blocks))
+
+
+DIFFERENTIAL_POOL = [e.design for e in catalog() if e.design is not None] + [
+    projective_plane(prime_field(3)),
+    full_design(6, 3), full_design(8, 2), full_design(9, 4), full_design(10, 1),
+    complement_design(fano()), complement_design(sts13_s1()),
+    complement_design(nine_point_design()),
+]
+
+
+@st.composite
+def parents(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(DIFFERENTIAL_POOL))
+    v = draw(st.integers(min_value=4, max_value=12))
+    base = draw(st.sets(st.integers(0, v - 1), min_size=1, max_size=v - 1))
+    return _cyclic_development(v, base)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(parents(), st.data(), st.integers(min_value=1, max_value=60))
+def test_classify_level_matches_oracle(parent, data, chunk_cells):
+    n = data.draw(st.integers(min_value=0, max_value=parent.v))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_mod, "CHUNK_CELLS", chunk_cells)
+        got = classify_level(parent, n)
+    assert _as_oracle(got) == _oracle(parent, n)
+
+
+def test_analyze_level_sts13():
+    s1 = sts13_s1()
+    rep = analyze_level(s1, classify_level(s1, 5))
+    assert rep.self_friend == (False, False, False)
+    assert rep.friends_with_parent == (True, True, True)
+    assert not rep.level_friendly
+    rep3 = analyze_level(s1, classify_level(s1, 3))
+    assert all(rep3.self_friend) and rep3.level_friendly

@@ -118,6 +118,14 @@ def test_classify_requires_mode(capsys, s1_file):
     assert exc.value.code == 2
 
 
+def test_classify_level_above_sweep_limit_exit_code(capsys, tmp_path):
+    pg7 = str(tmp_path / "pg7.design")
+    assert run(capsys, "pg", "--order", "7", "-o", pg7)[0] == 0
+    code, _, err = run(capsys, "classify", pg7, "-n", "28", "--counts-only")
+    assert code == 2
+    assert err.startswith("error:") and "sweep limit" in err
+
+
 def test_classify_deterministic(capsys, s1_file):
     code1, out1, _ = run(capsys, "classify", s1_file, "-n", "5")
     code2, out2, _ = run(capsys, "--threads", "4", "classify", s1_file, "-n", "5")
