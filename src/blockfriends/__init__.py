@@ -43,6 +43,7 @@ from .friendship import (
 )
 from .families import (
     FriendlyFamily,
+    NotFriendsError,
     OrderRelation,
     alpha,
     build_family,

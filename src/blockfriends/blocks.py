@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
+
+import numpy as np
 
 MAX_GROUND = 64
 
@@ -49,13 +50,28 @@ def format_block(mask: int) -> str:
     return "{" + ",".join(str(x) for x in labels_from_mask(mask)) + "}"
 
 
+def level_masks(v: int, n: int) -> np.ndarray:
+    """Every n-subset of {1..v} as a uint64 mask, in lexicographic order of
+    label tuples (not ascending mask order: {1,4} precedes {2,3}).
+
+    Built by prefix extension (Knuth, TAOCP 4A, 7.2.1.3): step i repeats each
+    prefix once per admissible next element, from one above its largest
+    element up to v-n+i, so every prefix built can still be completed and no
+    step holds more than C(v,n) masks.
+    """
+    masks = np.zeros(1 if 0 <= n <= v else 0, dtype=np.uint64)
+    top = np.full(masks.size, -1, dtype=np.int64)  # largest element of each prefix
+    for i in range(n):
+        reps = (v - n + i) - top
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        top = np.repeat(top, reps) + 1 + (np.arange(first.size) - first)
+        masks = np.repeat(masks, reps) | (np.uint64(1) << top.astype(np.uint64))
+    return masks
+
+
 def subsets_of_size(v: int, n: int) -> Iterator[int]:
     """All n-subsets of {1..v} as masks, in lexicographic order of their label tuples."""
-    for idx in combinations(range(v), n):
-        m = 0
-        for i in idx:
-            m |= 1 << i
-        yield m
+    yield from level_masks(v, n).tolist()
 
 
 def proper_submasks(mask: int) -> Iterator[int]:

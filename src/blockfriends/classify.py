@@ -4,7 +4,7 @@ Every n-subset of the ground set is mapped to its intersection profile
 against the parent; subsets sharing a profile form a class.  Ranging n over
 0..v partitions the whole power set.  Levels above v/2 are derived from
 their complements (a subset and its complement have reversed profiles),
-which halves the sweep; a cross-check flag recomputes them directly.
+which halves the sweep.
 """
 
 from __future__ import annotations
@@ -14,14 +14,8 @@ from math import comb
 
 import numpy as np
 
-from .blocks import full_mask, labels_from_mask
-from .designs import (
-    BlockDesign,
-    DesignError,
-    DesignParams,
-    complement_params,
-    detect_design,
-)
+from .blocks import full_mask, level_masks
+from .designs import BlockDesign, DesignError, DesignParams, detect_design
 from .families import partitions_power_set
 from .friendship import are_friends
 from .profiles import IntersectionProfile, intersection_sizes, profile_rows
@@ -64,25 +58,6 @@ class Subdivision:
             for n, level in enumerate(self.levels)
             for j, cls in enumerate(level)
         ]
-
-
-def _level_masks(v: int, n: int) -> np.ndarray:
-    """Every n-subset of the ground set as a mask, in lexicographic order of
-    label tuples (not ascending mask order: {1,4} precedes {2,3}).
-
-    Built by prefix extension (Knuth, TAOCP 4A, 7.2.1.3): step i repeats each
-    prefix once per admissible next element, from one above its largest
-    element up to v-n+i, so every prefix built can still be completed and no
-    step holds more than C(v,n) masks.
-    """
-    masks = np.zeros(1, dtype=np.uint64)
-    top = np.full(1, -1, dtype=np.int64)  # largest element of each prefix
-    for i in range(n):
-        reps = (v - n + i) - top
-        first = np.repeat(np.cumsum(reps) - reps, reps)
-        top = np.repeat(top, reps) + 1 + (np.arange(first.size) - first)
-        masks = np.repeat(masks, reps) | (np.uint64(1) << top.astype(np.uint64))
-    return masks
 
 
 def _key_weights(b: int, k: int) -> np.ndarray:
@@ -128,7 +103,7 @@ def classify_level(
             f"level n={n} has C({v},{n}) = {comb(v, n)} subsets, "
             f"above the sweep limit 2^{SWEEP_LIMIT}"
         )
-    subs = _level_masks(v, n)
+    subs = level_masks(v, n)
     weights = _key_weights(parent.b, parent.k)
     blocks = np.asarray(parent.blocks, dtype=np.uint64)
     keys = np.empty((len(weights), subs.size), dtype=np.int64)
@@ -157,27 +132,22 @@ def classify_level(
 
 
 def _derive_complement_level(
-    source: tuple[SubsetClass, ...], v: int, k: int, keep_members: bool
+    source: tuple[SubsetClass, ...], v: int
 ) -> tuple[SubsetClass, ...]:
+    """Level v-n from level n: each class complemented, profile reversed.
+
+    Complementing reverses the label-tuple order of same-size sets: A precedes
+    B iff min(A ^ B) lies in A, and complementing both leaves A ^ B unchanged.
+    So the complemented members, read backwards, are in enumeration order.
+    """
     fm = full_mask(v)
     derived = []
     for cls in source:
         sig = IntersectionProfile(tuple(reversed(cls.signature.z)), v - cls.n)
-        if keep_members and cls.members is not None:
-            members = tuple(
-                sorted((fm ^ m for m in cls.members), key=labels_from_mask)
-            )
+        members, params, witness = None, cls.params, cls.witness
+        if cls.members is not None:
+            members = tuple(fm ^ m for m in reversed(cls.members))
             params, witness = _annotate(v, members)
-        else:
-            members = None
-            if cls.params is not None:
-                params, witness = complement_params(cls.params), ""
-            elif cls.witness == "members not retained":
-                params, witness = None, cls.witness
-            elif cls.n == 0:
-                params, witness = DesignParams(v, 1, 1, v, 1), ""
-            else:
-                params, witness = None, "complement of a non-design class"
         derived.append(
             SubsetClass(v, v - cls.n, sig, cls.size, members, params, witness)
         )
@@ -185,47 +155,33 @@ def _derive_complement_level(
 
 
 def classify_all(
-    parent: BlockDesign,
-    sweep_limit: int = SWEEP_LIMIT,
-    threads: int | None = None,
-    use_complement: bool = True,
-    cross_check: bool = False,
-    keep_members: bool = True,
+    parent: BlockDesign, threads: int | None = None, keep_members: bool = True
 ) -> Subdivision:
-    """Classify every level 0..v.
+    """Classify every level 0..v: levels up to v/2 directly, the rest by
+    complement.
 
     `threads` is accepted for compatibility and has no effect on the work
     done or the results.
     """
     v = parent.v
-    if v > sweep_limit:
+    if v > SWEEP_LIMIT:
         raise DesignError(
-            f"v={v} exceeds sweep limit {sweep_limit}; classify levels one at a time"
+            f"v={v} exceeds sweep limit {SWEEP_LIMIT}; classify levels one at a time"
         )
-    direct = range(0, v // 2 + 1) if use_complement else range(0, v + 1)
-    levels = {n: classify_level(parent, n, keep_members) for n in direct}
-    if use_complement:
-        for n in range(v // 2 + 1, v + 1):
-            levels[n] = _derive_complement_level(levels[v - n], v, parent.k, keep_members)
-            if cross_check:
-                recomputed = classify_level(parent, n, keep_members)
-                if not _levels_equal(levels[n], recomputed):
-                    raise AssertionError(
-                        f"complement-derived level {n} disagrees with direct sweep"
-                    )
-    return Subdivision(parent, tuple(levels[n] for n in range(v + 1)))
+    levels = [classify_level(parent, n, keep_members) for n in range(v // 2 + 1)]
+    for n in range(v // 2 + 1, v + 1):
+        levels.append(_derive_complement_level(levels[v - n], v))
+    return Subdivision(parent, tuple(levels))
 
 
-def _levels_equal(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ca, cb in zip(a, b):
-        if (ca.signature, ca.size, ca.params) != (cb.signature, cb.size, cb.params):
-            return False
-        if ca.members is not None and cb.members is not None:
-            if sorted(ca.members) != sorted(cb.members):
-                return False
-    return True
+def _friends_matrix(fams: list[BlockDesign]) -> list[list[bool]]:
+    """Symmetric friendship matrix, one are_friends call per unordered pair."""
+    m = len(fams)
+    matrix = [[True] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            matrix[i][j] = matrix[j][i] = are_friends(fams[i], fams[j]).friends
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -246,13 +202,12 @@ class SubdivisionReport:
         return self.class_keys.index((n, j))
 
 
-def analyze(sub: Subdivision, threads: int | None = None) -> SubdivisionReport:
+def analyze(sub: Subdivision) -> SubdivisionReport:
     """Check which classes are designs and whether they form a friendly family.
 
     Non-design classes still take part in the friendship sweep as raw
     families.  The headline verdict is true when every class is a design
     (degenerate levels by convention) and all distinct pairs are friends.
-    `threads` is accepted for compatibility and has no effect.
     """
     flat = sub.all_classes()
     v = sub.v
@@ -267,11 +222,7 @@ def analyze(sub: Subdivision, threads: int | None = None) -> SubdivisionReport:
         designs_flags.append(cls.params is not None or n == 0 or n == v)
 
     m = len(fams)
-    matrix = [[True] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            matrix[i][j] = matrix[j][i] = are_friends(fams[i], fams[j]).friends
-
+    matrix = _friends_matrix(fams)
     self_friend = tuple(matrix[i][i] for i in range(m))
     level_friendly = []
     for n in range(v + 1):
@@ -312,16 +263,41 @@ def analyze_level(
     """Check each class of one level against itself, the parent and the others."""
     fams = [c.to_family(f"class-{c.n}-{j + 1}") for j, c in enumerate(classes)]
     m = len(fams)
-    pair_ok = {
-        (i, j): are_friends(fams[i], fams[j]).friends
-        for i in range(m)
-        for j in range(i, m)
-    }
+    matrix = _friends_matrix(fams)
     return LevelReport(
-        tuple(pair_ok[(j, j)] for j in range(m)),
+        tuple(matrix[j][j] for j in range(m)),
         tuple(are_friends(f, parent).friends for f in fams),
-        all(pair_ok[(i, j)] for i in range(m) for j in range(i + 1, m)),
+        all(matrix[i][j] for i in range(m) for j in range(i + 1, m)),
     )
+
+
+def _two_classes(
+    parent: BlockDesign,
+    n: int,
+    target: frozenset[int],
+    what: str,
+    predicted: tuple[DesignParams, DesignParams],
+) -> tuple[SubsetClass, SubsetClass]:
+    """The two classes of level n, the one whose members are `target` first.
+
+    `what` names `target` in the error message; the classes' params must equal
+    `predicted`, in the same order.
+    """
+    classes = classify_level(parent, n)
+    if len(classes) != 2:
+        raise AssertionError(f"expected 2 classes at level {n}, found {len(classes)}")
+    if frozenset(classes[0].members) == target:
+        c1, c2 = classes
+    elif frozenset(classes[1].members) == target:
+        c2, c1 = classes
+    else:
+        raise AssertionError(f"neither level-{n} class matches {what}")
+    if (c1.params, c2.params) != predicted:
+        raise AssertionError(
+            f"level-{n} params {c1.params}, {c2.params} != predicted "
+            f"{predicted[0]}, {predicted[1]}"
+        )
+    return c1, c2
 
 
 def theorem_k3_classes(
@@ -341,20 +317,9 @@ def theorem_k3_classes(
     predicted2 = DesignParams(
         v, comb(v, 3) - p.b, comb(v - 1, 2) - p.r, 3, v - 2 - p.lam
     )
-    classes = classify_level(parent, 3)
-    if len(classes) != 2:
-        raise AssertionError(f"expected 2 classes at level 3, found {len(classes)}")
-    block_set = frozenset(parent.blocks)
-    if frozenset(classes[0].members) == block_set:
-        c1, c2 = classes
-    elif frozenset(classes[1].members) == block_set:
-        c2, c1 = classes
-    else:
-        raise AssertionError("neither level-3 class matches the parent blocks")
-    if c1.params != p or c2.params != predicted2:
-        raise AssertionError(
-            f"level-3 params {c1.params}, {c2.params} != predicted {p}, {predicted2}"
-        )
+    c1, c2 = _two_classes(
+        parent, 3, frozenset(parent.blocks), "the parent blocks", (p, predicted2)
+    )
     if not are_friends(parent, c2.to_family("non-blocks-3")).friends:
         raise AssertionError("non-block triples are not friends with the parent")
     return (c1, p), (c2, predicted2)
@@ -374,12 +339,12 @@ def theorem_k4_classes(
     if p is None or p.k != 3 or p.lam != 1:
         raise DesignError("needs a validated parent with block size 3 and lambda 1")
     v = p.v
-    extensions = {
+    extensions = frozenset(
         blk | (1 << x)
         for blk in parent.blocks
         for x in range(v)
         if not (blk >> x) & 1
-    }
+    )
     if len(extensions) != p.b * (v - 3):
         raise AssertionError("block extensions are not all distinct")
     r1 = p.r * (v - 3) + (p.b - p.r)
@@ -388,20 +353,9 @@ def theorem_k4_classes(
     predicted2 = DesignParams(
         v, comb(v, 4) - predicted1.b, comb(v - 1, 3) - r1, 4, comb(v - 2, 2) - lam1
     )
-    classes = classify_level(parent, 4)
-    if len(classes) != 2:
-        raise AssertionError(f"expected 2 classes at level 4, found {len(classes)}")
-    if frozenset(classes[0].members) == extensions:
-        c1, c2 = classes
-    elif frozenset(classes[1].members) == extensions:
-        c2, c1 = classes
-    else:
-        raise AssertionError("neither level-4 class matches the block extensions")
-    if c1.params != predicted1 or c2.params != predicted2:
-        raise AssertionError(
-            f"level-4 params {c1.params}, {c2.params} != predicted "
-            f"{predicted1}, {predicted2}"
-        )
+    c1, c2 = _two_classes(
+        parent, 4, extensions, "the block extensions", (predicted1, predicted2)
+    )
     v1 = are_friends(c1.to_family("contains-a-block-4"), parent)
     v2 = are_friends(c2.to_family("avoids-blocks-4"), parent)
     if not (v1.friends and v2.friends):

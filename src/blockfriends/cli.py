@@ -17,6 +17,7 @@ from pathlib import Path
 from .blocks import format_block, mask_from_labels
 from .designs import BlockDesign, DesignError, detect_design, full_design
 from .families import (
+    NotFriendsError,
     build_family,
     check_alpha_hypotheses,
     check_order_preservation,
@@ -262,7 +263,7 @@ def cmd_poset(args) -> int:
                 members.append(extra)
     try:
         fam = build_family(members)
-    except DesignError as exc:
+    except NotFriendsError as exc:
         _emit(args, {"friendly": False, "error": str(exc)}, [f"not a friendly family: {exc}"])
         return 1
     rel = order_relation(fam)

@@ -13,7 +13,14 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .blocks import as_mask, format_block, full_mask, labels_from_mask, MAX_GROUND
+from .blocks import (
+    as_mask,
+    format_block,
+    full_mask,
+    labels_from_mask,
+    MAX_GROUND,
+    subsets_of_size,
+)
 
 
 class DesignError(ValueError):
@@ -194,8 +201,6 @@ def full_design(v: int, k: int, name: str | None = None) -> BlockDesign:
     elif k == v:
         d = whole_design(v)
     else:
-        from .blocks import subsets_of_size
-
         lam = comb(v - 2, k - 2) if k >= 2 else 0
         params = DesignParams(v, comb(v, k), comb(v - 1, k - 1), k, lam)
         d = BlockDesign(v, tuple(subsets_of_size(v, k)), params, f"full-{k}")

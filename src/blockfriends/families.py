@@ -18,6 +18,10 @@ from .friendship import are_friends
 from .profiles import IntersectionProfile
 
 
+class NotFriendsError(DesignError):
+    """Two members of a would-be friendly family are not friends."""
+
+
 @dataclass(frozen=True)
 class FriendlyFamily:
     v: int
@@ -41,7 +45,8 @@ def build_family(designs) -> FriendlyFamily:
 
     Members are sorted by block size, ties broken by their sorted block
     lists.  Degenerate members are allowed; raw non-design families are not.
-    A failing pair raises with the two member names and the probe witness.
+    A failing pair raises NotFriendsError with the two member names and the
+    probe witness; other bad input raises DesignError.
     """
     members = sorted(designs, key=_canonical_key)
     if not members:
@@ -63,7 +68,7 @@ def build_family(designs) -> FriendlyFamily:
             if not verdict.friends:
                 a = members[i].name or f"member-{i}"
                 b = members[j].name or f"member-{j}"
-                raise DesignError(
+                raise NotFriendsError(
                     f"{a} and {b} are not friends (witness {verdict.witness})"
                 )
             profiles[(i, j)] = verdict.profile_1_2

@@ -2,7 +2,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import blockfriends.classify as classify_mod
 from blockfriends import (
@@ -108,17 +108,25 @@ def test_classify_all_matches_fano_family():
     assert class_sets == member_sets
 
 
+def _class_facts(classes):
+    return [(c.signature, c.size, c.params, c.witness, c.members) for c in classes]
+
+
 def test_complement_shortcut_cross_check():
-    classify_all(fano(), cross_check=True)
-    classify_all(sts13_s1(), cross_check=True)
-    classify_all(nine_point_design(), cross_check=True)
+    """Every level above v/2, derived by complement, equals a direct sweep."""
+    for parent in (fano(), sts13_s1(), nine_point_design()):
+        sub = classify_all(parent)
+        for n in range(parent.v // 2 + 1, parent.v + 1):
+            assert _class_facts(sub.levels[n]) == _class_facts(
+                classify_level(parent, n))
 
 
 def test_complement_shortcut_equals_direct():
+    """classify_all agrees with a direct classify_level sweep at every level."""
     s1 = sts13_s1()
-    fast = classify_all(s1, use_complement=True)
-    slow = classify_all(s1, use_complement=False)
-    for a_level, b_level in zip(fast.levels, slow.levels):
+    sub = classify_all(s1)
+    direct = [classify_level(s1, n) for n in range(s1.v + 1)]
+    for a_level, b_level in zip(sub.levels, direct, strict=True):
         assert [(c.signature, c.size, c.params) for c in a_level] == [
             (c.signature, c.size, c.params) for c in b_level]
         for ca, cb in zip(a_level, b_level):
@@ -312,3 +320,23 @@ def test_analyze_level_sts13():
     assert not rep.level_friendly
     rep3 = analyze_level(s1, classify_level(s1, 3))
     assert all(rep3.self_friend) and rep3.level_friendly
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(parents(), st.booleans())
+@example(fano(), True)
+@example(fano(), False)
+@example(sts13_s1(), True)
+@example(sts13_s1(), False)
+@example(nine_point_design(), True)
+@example(nine_point_design(), False)
+@example(projective_plane(prime_field(3)), True)
+@example(projective_plane(prime_field(3)), False)
+def test_complement_levels_equal_direct_sweep(parent, keep_members):
+    """Levels above v/2, derived by complement, equal a direct sweep in every
+    field, members in order included."""
+    sub = classify_all(parent, keep_members=keep_members)
+    for n in range(parent.v // 2 + 1, parent.v + 1):
+        direct = classify_level(parent, n, keep_members)
+        assert _class_facts(sub.levels[n]) == _class_facts(direct)

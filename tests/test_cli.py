@@ -235,3 +235,11 @@ def test_threads_below_one_rejected(capsys, fano_file):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "0", "verify", fano_file])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("second", ["other-ground-set", "duplicate"])
+def test_poset_input_error_exit_code(capsys, fano_file, s1_file, second):
+    other = s1_file if second == "other-ground-set" else fano_file
+    code, out, err = run(capsys, "poset", fano_file, other)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -17,6 +17,7 @@ from blockfriends import (
     nine_point_design,
     sts13_s1,
     sts13_s2,
+    subsets_of_size,
     whole_design,
 )
 from oracle_util import brute_detect, labels
@@ -87,6 +88,13 @@ def test_full_design_matches_detection():
 def test_full_design_blocks_lexicographic():
     d = full_design(5, 3)
     assert d.block_labels() == tuple(combinations(range(1, 6), 3))
+
+
+def test_subsets_of_size_matches_combinations():
+    for v in range(10):
+        for n in range(v + 3):
+            want = [sum(1 << i for i in idx) for idx in combinations(range(v), n)]
+            assert list(subsets_of_size(v, n)) == want
 
 
 def test_degenerate_designs():

@@ -4,6 +4,8 @@ import pytest
 
 from blockfriends import (
     DesignError,
+    FriendlyFamily,
+    IntersectionProfile,
     alpha,
     build_family,
     check_alpha_hypotheses,
@@ -138,6 +140,19 @@ def test_order_preservation():
     assert check_order_preservation(fano_family())
     assert check_order_preservation(full_chain(7))
     assert check_order_preservation(full_chain(4))
+
+
+def test_order_preservation_detects_a_pair_against_the_order():
+    fam = fano_family()
+    profiles = dict(fam.pair_profiles)
+    old = profiles[(0, 1)]  # full-0 below full-1, so {} below {1}
+    profiles[(0, 1)] = IntersectionProfile((0,) * len(old.z), old.m)
+    broken = FriendlyFamily(fam.v, fam.members, profiles)
+    assert not less_than(broken, 0, 1)
+    assert not check_order_preservation(broken)
+    gapped = FriendlyFamily(fam.v, fam.members[1:], {})  # the empty set is uncovered
+    with pytest.raises(DesignError, match="partition"):
+        check_order_preservation(gapped)
 
 
 def test_corrupted_family_fails_before_order_check():
