@@ -74,11 +74,19 @@ def subsets_of_size(v: int, n: int) -> Iterator[int]:
     yield from level_masks(v, n).tolist()
 
 
-def proper_submasks(mask: int) -> Iterator[int]:
-    """Every proper subset of `mask`, including the empty set."""
-    s = (mask - 1) & mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
+def subset_sums(a: np.ndarray, v: int, op=np.add, supersets: bool = False) -> np.ndarray:
+    """Zeta transform over the subset lattice of {1..v}, in place on axis 0.
+
+    Entry s of `a` (length 2^v along axis 0) becomes op over the entries t
+    with t a subset of s, or with t a superset of s when `supersets` is set.
+    One pass per element: pass i folds each set without element i+1 into the
+    set with it (or the reverse), so v passes reach every pair t, s.
+    """
+    for i in range(v):
+        halves = a.reshape(-1, 2, 1 << i, *a.shape[1:])
+        lo, hi = halves[:, 0], halves[:, 1]
+        if supersets:
+            op(lo, hi, out=lo)
+        else:
+            op(hi, lo, out=hi)
+    return a

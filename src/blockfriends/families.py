@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import as_mask, format_block, labels_from_mask, proper_submasks
+from .blocks import as_mask, labels_from_mask, subset_sums
 from .designs import BlockDesign, DesignError
 from .friendship import are_friends
 from .profiles import IntersectionProfile
@@ -112,17 +112,26 @@ def order_relation(f: FriendlyFamily) -> OrderRelation:
     return OrderRelation(f, pairs, closure == pairs, antisymmetric, closure)
 
 
+def power_set_owner(v: int, designs) -> np.ndarray | None:
+    """The map alpha as an array: entry s is the index of the design having
+    the subset s as a block, or None unless the blocks partition 2^V.
+
+    The blocks partition 2^V iff there are 2^v of them and every subset has
+    an owner.  The count is checked first, so a family that cannot partition
+    the power set never allocates a 2^v array.
+    """
+    designs = tuple(designs)
+    if sum(d.b for d in designs) != 1 << v:
+        return None
+    owner = np.full(1 << v, -1, dtype=np.int32)
+    for i, d in enumerate(designs):
+        owner[np.fromiter(d.blocks, dtype=np.int64, count=d.b)] = i
+    return None if (owner < 0).any() else owner
+
+
 def partitions_power_set(v: int, designs) -> bool:
     """True iff the designs' blocks are pairwise disjoint and cover the power set of V."""
-    seen: set[int] = set()
-    total = 0
-    for d in designs:
-        for m in d.blocks:
-            if m in seen:
-                return False
-            seen.add(m)
-            total += 1
-    return total == 1 << v
+    return power_set_owner(v, designs) is not None
 
 
 def check_alpha_hypotheses(f: FriendlyFamily) -> bool:
@@ -130,33 +139,41 @@ def check_alpha_hypotheses(f: FriendlyFamily) -> bool:
     return partitions_power_set(f.v, f.members)
 
 
-def _alpha_table(f: FriendlyFamily) -> dict[int, int]:
-    return {m: i for i, d in enumerate(f.members) for m in d.blocks}
+def _owner(f: FriendlyFamily) -> np.ndarray:
+    owner = power_set_owner(f.v, f.members)
+    if owner is None:
+        raise DesignError("family blocks do not partition the power set")
+    return owner
 
 
 def alpha(f: FriendlyFamily, u) -> int:
     """Index of the unique member having u as a block."""
-    if not check_alpha_hypotheses(f):
-        raise DesignError("family blocks do not partition the power set")
-    mask = as_mask(u, f.v)
-    table = _alpha_table(f)
-    if mask not in table:
-        raise AssertionError(f"{format_block(mask)} not covered despite partition")
-    return table[mask]
+    return int(_owner(f)[as_mask(u, f.v)])
 
 
 def check_order_preservation(f: FriendlyFamily) -> bool:
-    """Exhaustively check that strict subset containment maps into the family order."""
-    if not check_alpha_hypotheses(f):
-        raise DesignError("family blocks do not partition the power set")
-    table = _alpha_table(f)
-    for y in range(1 << f.v):
-        iy = table[y]
-        for x in proper_submasks(y):
-            ix = table[x]
-            if ix != iy and not less_than(f, ix, iy):
-                return False
-    return True
+    """Check that strict subset containment maps into the family order.
+
+    Every (subset, proper subset) pair is covered, without visiting the 3^v
+    pairs: an OR subset-sum over the lattice gives, for each y, the bitset
+    below[y] of members alpha(x) over all x within y (8 members per byte).
+    Dropping alpha(y) itself, below[y] must lie inside the members that are
+    below alpha(y) in the family order.
+    """
+    owner = _owner(f)
+    n = len(f.members)
+    cells, byte = np.arange(owner.size), owner >> 3
+    bit = np.left_shift(1, owner & 7).astype(np.uint8)
+    below = np.zeros((owner.size, (n + 7) // 8), dtype=np.uint8)
+    below[cells, byte] = bit
+    subset_sums(below, f.v, np.bitwise_or)
+    below[cells, byte] &= ~bit
+    lower = np.packbits(
+        [[less_than(f, i, j) for i in range(n)] for j in range(n)],
+        axis=1,
+        bitorder="little",
+    )
+    return not (below & ~lower[owner]).any()
 
 
 def transitive_reduction(rel: OrderRelation) -> frozenset:

@@ -61,3 +61,24 @@ def brute_classify(blocks, k, v, n):
 def labels(design):
     """Blocks of a package design as label tuples (boundary conversion only)."""
     return design.block_labels()
+
+
+def brute_order_preservation(v, members, order):
+    """True iff every proper subset x of every y has owner(x) == owner(y) or
+    (owner(x), owner(y)) in `order`, walking all 3^v such pairs.
+
+    `members` lists each member's blocks as label tuples; together they must
+    partition the subsets of {1..v}.  `order` is a set of index pairs (i, j)
+    meaning member i is below member j.
+    """
+    owner = {frozenset(blk): i for i, blocks in enumerate(members) for blk in blocks}
+    assert len(owner) == 2 ** v
+    for n in range(v + 1):
+        for y in combinations(range(1, v + 1), n):
+            iy = owner[frozenset(y)]
+            for m in range(n):
+                for x in combinations(y, m):
+                    ix = owner[frozenset(x)]
+                    if ix != iy and (ix, iy) not in order:
+                        return False
+    return True

@@ -340,3 +340,25 @@ def test_complement_levels_equal_direct_sweep(parent, keep_members):
     for n in range(parent.v // 2 + 1, parent.v + 1):
         direct = classify_level(parent, n, keep_members)
         assert _class_facts(sub.levels[n]) == _class_facts(direct)
+
+
+_PAIRWISE: dict = {}  # (v, blocks) -> the pairwise matrix, computed once per parent
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(parents())
+@example(fano())
+@example(projective_plane(prime_field(3)))
+@example(sts13_s1())
+@example(sts13_s2())
+@example(nine_point_design())
+def test_analyze_friends_matrix_equals_pairwise(parent):
+    """The subset-lattice friendship matrix of analyze agrees, cell for cell,
+    with one are_friends call per pair of classes."""
+    rep = analyze(classify_all(parent))
+    key = (parent.v, frozenset(parent.blocks))
+    if key not in _PAIRWISE:
+        fams = [cls.to_family() for _, _, cls in rep.subdivision.all_classes()]
+        _PAIRWISE[key] = classify_mod._friends_matrix(fams)
+    assert [list(row) for row in rep.friends_matrix] == _PAIRWISE[key]

@@ -243,3 +243,17 @@ def test_poset_input_error_exit_code(capsys, fano_file, s1_file, second):
     code, out, err = run(capsys, "poset", fano_file, other)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "pg-field-tables"])
+def test_non_utf8_input_exit_code(capsys, tmp_path, command):
+    binary = tmp_path / "bin.design"
+    binary.write_bytes(b"\xff\xfe")
+    if command == "verify":
+        argv = ["verify", str(binary)]
+    else:
+        argv = ["pg", "--order", "3", "--field-tables", str(binary),
+                "-o", str(tmp_path / "pg3.design")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

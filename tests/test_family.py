@@ -1,6 +1,9 @@
 import random
+from functools import cache, partial
+from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from blockfriends import (
     DesignError,
@@ -10,17 +13,22 @@ from blockfriends import (
     build_family,
     check_alpha_hypotheses,
     check_order_preservation,
+    classify_all,
     classify_level,
     export_hasse,
+    family,
     fano,
     fano_family,
     fano_family_members,
     full_design,
     less_than,
     order_relation,
+    prime_field,
+    projective_plane,
     sts13_s1,
     transitive_reduction,
 )
+from oracle_util import brute_order_preservation
 
 FANO_COVERING = {
     ("full-0", "full-1"), ("full-1", "full-2"), ("full-2", "fano"),
@@ -191,3 +199,77 @@ def test_export_hasse_empty_relation():
     dot = export_hasse(order_relation(build_family([s1, rest])))
     assert " -> " not in dot
     assert dot.count("[label=") == 2
+
+
+@cache
+def pg23_family():
+    """The PG(2,3) classes of levels 1..12 plus the two degenerate designs."""
+    sub = classify_all(projective_plane(prime_field(3)))
+    classes = [cls.to_family(f"class-{n}-{j}") for n, j, cls in sub.all_classes()
+               if 0 < n < sub.v]
+    return build_family(classes + [full_design(13, 0), full_design(13, 13)])
+
+
+def zeroed(fam, key):
+    """A copy of the family with pair profile `key` set to all zeros."""
+    profiles = dict(fam.pair_profiles)
+    old = profiles[key]
+    profiles[key] = IntersectionProfile((0,) * len(old.z), old.m)
+    return FriendlyFamily(fam.v, fam.members, profiles)
+
+
+def brute_force_verdict(fam):
+    n = len(fam.members)
+    order = {(i, j) for i in range(n) for j in range(n) if less_than(fam, i, j)}
+    blocks = [d.block_labels() for d in fam.members]
+    return brute_order_preservation(fam.v, blocks, order)
+
+
+ORDER_FAMILIES = [fano_family, *(partial(full_chain, v) for v in range(4, 8)),
+                  pg23_family]
+
+
+@st.composite
+def order_families(draw):
+    fam = draw(st.sampled_from(ORDER_FAMILIES))()
+    if draw(st.booleans()):
+        fam = zeroed(fam, draw(st.sampled_from(sorted(fam.pair_profiles))))
+    return fam
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(order_families())
+@example(fano_family())  # preserved
+@example(zeroed(fano_family(), (0, 1)))  # {} and {1} against the order
+def test_order_preservation_matches_brute_force(fam):
+    assert check_order_preservation(fam) == brute_force_verdict(fam)
+
+
+@st.composite
+def random_partitions(draw):
+    """Each level of 2^V split at random into up to three raw families, under
+    the order that puts every smaller block size below every larger one, with
+    a few pairs then dropped from it."""
+    v = draw(st.integers(min_value=1, max_value=6))
+    members = []
+    for n in range(v + 1):
+        level = list(combinations(range(1, v + 1), n))
+        parts = draw(st.lists(st.integers(0, 2), min_size=len(level),
+                              max_size=len(level)))
+        for part in sorted(set(parts)):
+            members.append(family(v, [s for s, p in zip(level, parts) if p == part]))
+    profiles = {
+        (i, j): IntersectionProfile((0,) * a.k + (1,), b.k)
+        for i, a in enumerate(members) for j, b in enumerate(members) if i != j
+    }
+    fam = FriendlyFamily(v, tuple(members), profiles)
+    for key in draw(st.lists(st.sampled_from(sorted(profiles)), max_size=3)):
+        fam = zeroed(fam, key)
+    return fam
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_partitions())
+def test_order_preservation_matches_brute_force_on_random_partitions(fam):
+    assert check_order_preservation(fam) == brute_force_verdict(fam)
