@@ -35,6 +35,7 @@ from .profiles import (
 from .friendship import (
     FriendshipVerdict,
     ProfileMismatch,
+    all_pairs_profiles,
     are_friends,
     check_count_identity,
     complement_transfer,

@@ -14,10 +14,10 @@ from math import comb
 
 import numpy as np
 
-from .blocks import full_mask, level_masks, subset_sums
+from .blocks import full_mask, level_masks
 from .designs import BlockDesign, DesignError, DesignParams, detect_design
-from .families import partitions_power_set
-from .friendship import are_friends
+from .families import power_set_owner
+from .friendship import all_pairs_profiles, are_friends
 from .profiles import IntersectionProfile, intersection_sizes, profile_rows
 
 SWEEP_LIMIT = 24
@@ -202,34 +202,6 @@ class SubdivisionReport:
         return self.class_keys.index((n, j))
 
 
-def _constant_profiles(fams: list[BlockDesign], v: int) -> np.ndarray:
-    """const[a, b]: the profile of fams[a] is the same against every block of fams[b].
-
-    For each family A, a superset sum gives f_A(T), the blocks of A
-    containing T, and a ranked subset sum of f_A gives the binomial moments
-    M_t(s) = sum over blocks a of C(|a & s|, t), for every subset s at once
-    (Bjorklund, Husfeldt, Kaski, Koivisto, "Fourier meets Moebius", 2007).
-    The moments M_0..M_k determine the profile (z_0..z_k) by a unit
-    triangular map, so A's profile is constant over B iff each M_t is.
-    int64 is exact: M_t <= b * C(k, t) < 2^63 for v <= SWEEP_LIMIT.
-    """
-    rank = np.bitwise_count(np.arange(1 << v, dtype=np.uint64))
-    blocks = [np.fromiter(d.blocks, dtype=np.int64, count=d.b) for d in fams]
-    order = np.concatenate(blocks)  # the blocks of each family in turn
-    starts = np.cumsum([0] + [d.b for d in fams[:-1]])
-    const = np.ones((len(fams), len(fams)), dtype=bool)
-    for a, d in enumerate(fams):
-        f = np.zeros(1 << v, dtype=np.int64)
-        f[blocks[a]] = 1
-        subset_sums(f, v, supersets=True)
-        for t in range(1, d.k + 1):  # M_0 = b against every subset
-            moment = subset_sums(np.where(rank == t, f, 0), v)[order]
-            const[a] &= np.minimum.reduceat(moment, starts) == np.maximum.reduceat(
-                moment, starts
-            )
-    return const
-
-
 def analyze(sub: Subdivision) -> SubdivisionReport:
     """Check which classes are designs and whether they form a friendly family.
 
@@ -250,7 +222,8 @@ def analyze(sub: Subdivision) -> SubdivisionReport:
         designs_flags.append(cls.params is not None or n == 0 or n == v)
 
     m = len(fams)
-    const = _constant_profiles(fams, v)
+    owner = power_set_owner(v, fams)
+    const, _ = all_pairs_profiles(fams, owner)
     matrix = (const & const.T).tolist()
     self_friend = tuple(matrix[i][i] for i in range(m))
     level_friendly = []
@@ -262,7 +235,7 @@ def analyze(sub: Subdivision) -> SubdivisionReport:
     family_friendly = all(
         matrix[i][j] for i in range(m) for j in range(i + 1, m)
     )
-    alpha_ok = partitions_power_set(v, fams)
+    alpha_ok = owner is not None
     conjecture = all(designs_flags) and family_friendly
     return SubdivisionReport(
         sub,

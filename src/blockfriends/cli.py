@@ -50,8 +50,15 @@ def _params_json(d: BlockDesign):
     return list(d.params)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DesignError(f"{path}: {exc}") from exc
+
+
 def _load(path: str, raw: bool = False) -> BlockDesign:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     name = Path(path).stem
     return load_family(text, name) if raw else load_design(text, name)
 
@@ -314,7 +321,7 @@ def cmd_poset(args) -> int:
 def cmd_pg(args) -> int:
     q = args.order
     if args.field_tables:
-        tables = load_field_tables(Path(args.field_tables).read_text(encoding="utf-8"))
+        tables = load_field_tables(_read_text(args.field_tables))
         if tables.q != q:
             raise FieldError(f"table file has q={tables.q}, asked for {q}")
     elif _is_prime(q):
@@ -490,7 +497,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (DesignError, FieldError, UnicodeDecodeError) as exc:
+    except (DesignError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

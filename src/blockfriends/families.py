@@ -9,12 +9,13 @@ contains a full block of D worth of points in every probe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .blocks import as_mask, labels_from_mask, subset_sums
 from .designs import BlockDesign, DesignError
-from .friendship import are_friends
+from .friendship import all_pairs_profiles, are_friends
 from .profiles import IntersectionProfile
 
 
@@ -35,6 +36,11 @@ class FriendlyFamily:
     def index_of(self, d: BlockDesign) -> int:
         return self.members.index(d)
 
+    @cached_property
+    def owner(self) -> np.ndarray | None:
+        """power_set_owner of the members, built on first use."""
+        return power_set_owner(self.v, self.members)
+
 
 def _canonical_key(d: BlockDesign):
     return (d.k, sorted(labels_from_mask(m) for m in d.blocks))
@@ -47,6 +53,11 @@ def build_family(designs) -> FriendlyFamily:
     lists.  Degenerate members are allowed; raw non-design families are not.
     A failing pair raises NotFriendsError with the two member names and the
     probe witness; other bad input raises DesignError.
+
+    When the members' blocks partition 2^V, all_pairs_profiles gives every
+    verdict and profile from passes over the subset lattice, and only a
+    failing pair goes to are_friends, for its witness.  Other families, such
+    as any on more than 32 points, are checked pair by pair.
     """
     members = sorted(designs, key=_canonical_key)
     if not members:
@@ -62,8 +73,16 @@ def build_family(designs) -> FriendlyFamily:
             if members[i] == members[j]:
                 raise DesignError(f"duplicate member {members[i].name or i}")
     profiles: dict[tuple[int, int], IntersectionProfile] = {}
+    owner = power_set_owner(v, members)
+    if owner is not None:
+        const, z = all_pairs_profiles(members, owner)
+        friends = const & const.T
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
+            if owner is not None and friends[i, j]:
+                profiles[(i, j)] = IntersectionProfile(z[i][j], members[j].k)
+                profiles[(j, i)] = IntersectionProfile(z[j][i], members[i].k)
+                continue
             verdict = are_friends(members[i], members[j])
             if not verdict.friends:
                 a = members[i].name or f"member-{i}"
@@ -73,7 +92,9 @@ def build_family(designs) -> FriendlyFamily:
                 )
             profiles[(i, j)] = verdict.profile_1_2
             profiles[(j, i)] = verdict.profile_2_1
-    return FriendlyFamily(v, tuple(members), profiles)
+    fam = FriendlyFamily(v, tuple(members), profiles)
+    fam.__dict__["owner"] = owner  # seed the cached property with the array built here
+    return fam
 
 
 def less_than(f: FriendlyFamily, i: int, j: int) -> bool:
@@ -87,6 +108,23 @@ def less_than(f: FriendlyFamily, i: int, j: int) -> bool:
     return f.pair_profiles[(i, j)].z[ki] > 0
 
 
+def order_matrix(f: FriendlyFamily) -> np.ndarray:
+    """below[i, j] is true iff member i sits strictly below member j."""
+    ks = [d.k for d in f.members]
+    n = len(ks)
+    return np.array(
+        [
+            [ks[i] < ks[j] and f.pair_profiles[(i, j)].z[ks[i]] > 0 for j in range(n)]
+            for i in range(n)
+        ],
+        dtype=bool,
+    )
+
+
+def _pairs(m: np.ndarray) -> frozenset:
+    return frozenset(zip(*(ix.tolist() for ix in np.nonzero(m))))
+
+
 @dataclass(frozen=True)
 class OrderRelation:
     family: FriendlyFamily
@@ -94,22 +132,24 @@ class OrderRelation:
     is_transitive: bool
     closure_antisymmetric: bool
     closure: frozenset  # transitive closure of pairs
+    reach: np.ndarray = field(repr=False, compare=False)  # closure as a boolean matrix
 
 
 def order_relation(f: FriendlyFamily) -> OrderRelation:
     """All ordered pairs of the family order, with transitivity checked, not assumed."""
-    n = len(f.members)
-    pairs = frozenset(
-        (i, j) for i in range(n) for j in range(n) if i != j and less_than(f, i, j)
-    )
-    reach = np.zeros((n, n), dtype=bool)
-    for i, j in pairs:
-        reach[i, j] = True
-    for x in range(n):  # Warshall: admit x as an intermediate member
+    below = order_matrix(f)
+    reach = below.copy()
+    for x in range(len(reach)):  # Warshall: admit x as an intermediate member
         reach |= np.outer(reach[:, x], reach[x])
-    closure = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(reach)))
-    antisymmetric = not any((j, i) in closure for (i, j) in closure if i != j)
-    return OrderRelation(f, pairs, closure == pairs, antisymmetric, closure)
+    antisymmetric = not (reach & reach.T & ~np.eye(len(reach), dtype=bool)).any()
+    return OrderRelation(
+        f,
+        _pairs(below),
+        bool((reach == below).all()),
+        antisymmetric,
+        _pairs(reach),
+        reach,
+    )
 
 
 def power_set_owner(v: int, designs) -> np.ndarray | None:
@@ -129,21 +169,15 @@ def power_set_owner(v: int, designs) -> np.ndarray | None:
     return None if (owner < 0).any() else owner
 
 
-def partitions_power_set(v: int, designs) -> bool:
-    """True iff the designs' blocks are pairwise disjoint and cover the power set of V."""
-    return power_set_owner(v, designs) is not None
-
-
 def check_alpha_hypotheses(f: FriendlyFamily) -> bool:
     """True iff the members' blocks are pairwise disjoint and cover the power set."""
-    return partitions_power_set(f.v, f.members)
+    return f.owner is not None
 
 
 def _owner(f: FriendlyFamily) -> np.ndarray:
-    owner = power_set_owner(f.v, f.members)
-    if owner is None:
+    if f.owner is None:
         raise DesignError("family blocks do not partition the power set")
-    return owner
+    return f.owner
 
 
 def alpha(f: FriendlyFamily, u) -> int:
@@ -168,23 +202,18 @@ def check_order_preservation(f: FriendlyFamily) -> bool:
     below[cells, byte] = bit
     subset_sums(below, f.v, np.bitwise_or)
     below[cells, byte] &= ~bit
-    lower = np.packbits(
-        [[less_than(f, i, j) for i in range(n)] for j in range(n)],
-        axis=1,
-        bitorder="little",
-    )
+    lower = np.packbits(order_matrix(f).T, axis=1, bitorder="little")
     return not (below & ~lower[owner]).any()
 
 
 def transitive_reduction(rel: OrderRelation) -> frozenset:
-    """Covering pairs of the order: the transitive reduction of its closure."""
-    n = len(rel.family.members)
-    closure = rel.closure
-    return frozenset(
-        (i, j)
-        for (i, j) in closure
-        if not any((i, x) in closure and (x, j) in closure for x in range(n))
-    )
+    """Covering pairs of the order: the transitive reduction of its closure.
+
+    A pair (i, j) of the closure is dropped when some x, i or j included,
+    has (i, x) and (x, j) in the closure: a nonzero entry of reach @ reach.
+    """
+    reach = rel.reach.astype(np.int64)
+    return _pairs(rel.reach & ~(reach @ reach).astype(bool))
 
 
 def export_hasse(rel: OrderRelation) -> str:

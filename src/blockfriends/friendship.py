@@ -2,18 +2,27 @@
 
 Two designs on the same ground set are friends when the profile of each
 against a single block of the other does not depend on which block was
-chosen.  The check is symmetric and O(b1*b2) popcounts; it is run on a
-numpy intersection-size matrix so that all-pairs sweeps over large
-families stay cheap.
+chosen.  `are_friends` decides one pair with O(b1*b2) popcounts on a numpy
+intersection-size matrix; it works for any ground set up to 64 points.
+
+`all_pairs_profiles` is the all-pairs kernel for a family whose blocks
+partition the power set 2^V, where pairwise work would be about 4^v/2
+cells.  Per member it runs k+1 passes over the subset lattice (Bjorklund,
+Husfeldt, Kaski, Koivisto, "Fourier meets Moebius", STOC 2007), reads off
+whether each profile is constant over each other member, and recovers
+every pair profile by binomial inversion.  A member made of the
+complements of an earlier member's blocks copies that member's row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
+from .blocks import full_mask, subset_sums
 from .designs import BlockDesign, DesignError, full_design
 from .profiles import (
     IntersectionProfile,
@@ -70,6 +79,77 @@ def are_friends(d1: BlockDesign, d2: BlockDesign) -> FriendshipVerdict:
     p12 = IntersectionProfile(common[0], d2.k)
     p21 = IntersectionProfile(common[1], d1.k)
     return FriendshipVerdict(True, p12, p21, None, flags)
+
+
+def _binomial_inverse(k: int) -> np.ndarray:
+    """inv[j, t] = (-1)^(t-j) C(t, j) as Python ints: maps the binomial
+    moments M_0..M_k of a profile back to its entries z_0..z_k."""
+    inv = np.zeros((k + 1, k + 1), dtype=object)
+    for t in range(k + 1):
+        for j in range(t + 1):
+            inv[j, t] = (-1) ** (t - j) * comb(t, j)
+    return inv
+
+
+def all_pairs_profiles(
+    fams: list[BlockDesign], owner: np.ndarray | None
+) -> tuple[np.ndarray, list[list[tuple[int, ...]]]]:
+    """Friendship data for every ordered pair of a family on at most 32 points.
+
+    Returns (const, z): const[a, b] is true iff the profile of fams[a] is
+    the same against every block of fams[b], so a and b are friends iff
+    const[a, b] and const[b, a]; z[a][b] is that profile (z_0..z_{k_a})
+    against the first block of fams[b], which is phi(fams[a], fams[b]) when
+    const[a, b] holds.
+
+    For each family A, a superset sum gives f_A(T), the blocks of A
+    containing T, and a ranked subset sum of f_A gives the binomial moments
+    M_t(s) = sum over blocks a of C(|a & s|, t), for every subset s at once.
+    The moments M_0..M_k map to the profile unit-triangularly, so A's
+    profile is constant over B iff each M_t is, and
+    z_j = sum over t >= j of (-1)^(t-j) C(t, j) M_t.  int64 holds the
+    moments exactly (M_t <= b C(k, t) <= 2^v C(v, v/2) < 2^63 for v <= 32);
+    the inversion runs on Python ints, as its products need not fit.
+
+    `owner` is power_set_owner of fams, or None.  With it, a member whose
+    blocks are exactly the complements of an earlier member c's blocks
+    copies row c: its blocks meet a k_b-set beta in k_b - |c & beta| points,
+    so const[a] = const[c] and z_j(a, b) = z_{k_b - j}(c, b), 0 outside c's
+    profile.
+    """
+    v = fams[0].v
+    n = len(fams)
+    rank = np.bitwise_count(np.arange(1 << v, dtype=np.uint64))
+    blocks = [np.fromiter(d.blocks, dtype=np.int64, count=d.b) for d in fams]
+    order = np.concatenate(blocks)  # the blocks of each family in turn
+    starts = np.cumsum([0] + [d.b for d in fams[:-1]])
+    ks = np.array([d.k for d in fams])
+    const = np.ones((n, n), dtype=bool)
+    rows: list[np.ndarray] = []  # rows[a][j, b] = z_j(a, b), Python ints
+    for a, d in enumerate(fams):
+        if owner is not None:
+            partners = owner[full_mask(v) ^ blocks[a]]
+            c = int(partners[0])
+            if c < a and fams[c].b == d.b and (partners == c).all():
+                const[a] = const[c]
+                src = ks[None, :] - np.arange(d.k + 1)[:, None]
+                inside = (src >= 0) & (src <= fams[c].k)
+                picked = np.take_along_axis(rows[c], src.clip(0, fams[c].k), axis=0)
+                rows.append(np.where(inside, picked, 0))
+                continue
+        f = np.zeros(1 << v, dtype=np.int64)
+        f[blocks[a]] = 1
+        subset_sums(f, v, supersets=True)
+        moments = np.full((d.k + 1, n), d.b, dtype=np.int64)  # M_0 = b
+        for t in range(1, d.k + 1):
+            moment = subset_sums(np.where(rank == t, f, 0), v)[order]
+            const[a] &= np.minimum.reduceat(moment, starts) == np.maximum.reduceat(
+                moment, starts
+            )
+            moments[t] = moment[starts]
+        rows.append(_binomial_inverse(d.k) @ moments.astype(object))
+    z = [[tuple(col) for col in row.T.tolist()] for row in rows]
+    return const, z
 
 
 def check_count_identity(verdict: FriendshipVerdict, b1: int, b2: int) -> bool:

@@ -82,3 +82,24 @@ def brute_order_preservation(v, members, order):
                     if ix != iy and (ix, iy) not in order:
                         return False
     return True
+
+
+def brute_closure(n, pairs):
+    """Transitive closure of a relation on range(n), by adding (i, l) for
+    every (i, j), (j, l) until nothing changes."""
+    closure = set(pairs)
+    while True:
+        extra = {(i, l) for (i, j) in closure for (k, l) in closure if j == k} - closure
+        if not extra:
+            return frozenset(closure)
+        closure |= extra
+
+
+def brute_transitive_reduction(n, closure):
+    """Pairs of `closure` with no x in range(n), i and j included, such that
+    (i, x) and (x, j) are both in `closure`."""
+    return frozenset(
+        (i, j)
+        for (i, j) in closure
+        if not any((i, x) in closure and (x, j) in closure for x in range(n))
+    )

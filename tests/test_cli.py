@@ -257,3 +257,23 @@ def test_non_utf8_input_exit_code(capsys, tmp_path, command):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_utf8_input_names_the_file(capsys, tmp_path):
+    good = tmp_path / "good.design"
+    good.write_text(save_design(fano()), encoding="utf-8")
+    binary = tmp_path / "bin.design"
+    binary.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "poset", str(good), str(binary))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "bin.design" in err and "good.design" not in err
+
+
+def test_non_utf8_field_tables_names_the_file(capsys, tmp_path):
+    binary = tmp_path / "tables.bin"
+    binary.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "pg", "--order", "3", "--field-tables", str(binary),
+                         "-o", str(tmp_path / "pg3.design"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "tables.bin" in err

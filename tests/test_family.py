@@ -2,6 +2,7 @@ import random
 from functools import cache, partial
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -9,12 +10,17 @@ from blockfriends import (
     DesignError,
     FriendlyFamily,
     IntersectionProfile,
+    NotFriendsError,
+    OrderRelation,
+    all_pairs_profiles,
     alpha,
+    are_friends,
     build_family,
     check_alpha_hypotheses,
     check_order_preservation,
     classify_all,
     classify_level,
+    design,
     export_hasse,
     family,
     fano,
@@ -22,13 +28,22 @@ from blockfriends import (
     fano_family_members,
     full_design,
     less_than,
+    nine_point_design,
     order_relation,
     prime_field,
     projective_plane,
     sts13_s1,
+    sts13_s2,
     transitive_reduction,
 )
-from oracle_util import brute_order_preservation
+from blockfriends import families as families_mod
+from blockfriends import friendship as friendship_mod
+from blockfriends.families import order_matrix, power_set_owner
+from oracle_util import (
+    brute_closure,
+    brute_order_preservation,
+    brute_transitive_reduction,
+)
 
 FANO_COVERING = {
     ("full-0", "full-1"), ("full-1", "full-2"), ("full-2", "fano"),
@@ -273,3 +288,173 @@ def random_partitions(draw):
 @given(random_partitions())
 def test_order_preservation_matches_brute_force_on_random_partitions(fam):
     assert check_order_preservation(fam) == brute_force_verdict(fam)
+
+
+# ---------------------------------------------------------------- all-pairs kernel
+
+KERNEL_FAMILIES = [fano_family, pg23_family,
+                   *(partial(full_chain, v) for v in range(4, 8))]
+
+
+@pytest.mark.parametrize("make", KERNEL_FAMILIES)
+def test_kernel_pair_profiles_equal_pairwise(make):
+    """Every pair profile from the lattice kernel equals are_friends', and
+    build_family stores exactly those."""
+    fam = make()
+    members = list(fam.members)
+    const, z = all_pairs_profiles(members, power_set_owner(fam.v, members))
+    assert const.all()
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            verdict = are_friends(members[i], members[j])
+            assert IntersectionProfile(z[i][j], members[j].k) == verdict.profile_1_2
+            assert IntersectionProfile(z[j][i], members[i].k) == verdict.profile_2_1
+            assert fam.pair_profiles[(i, j)] == verdict.profile_1_2
+            assert fam.pair_profiles[(j, i)] == verdict.profile_2_1
+
+
+# F1 and F2 are Fano planes sharing the blocks 123, 347 and 356.
+F1_BLOCKS = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+F2_BLOCKS = [(1, 2, 3), (1, 4, 6), (1, 5, 7), (2, 4, 5), (2, 6, 7), (3, 4, 7), (3, 5, 6)]
+
+
+def unfriendly_partition(rotation=0):
+    """A partition of 2^V, v = 7, that is not a friendly family: full-0..2,
+    F1, the other triples R1, the complements F2c of F2, the other quads R2
+    and full-5..7.  F2c's blocks start at F2's block number `rotation`; at 0
+    its first block is the complement of a block of F1, not of R1."""
+    f2c = [tuple(sorted(set(range(1, 8)) - set(b))) for b in F2_BLOCKS]
+    f2c = f2c[rotation:] + f2c[:rotation]
+    r1 = [t for t in combinations(range(1, 8), 3) if t not in F1_BLOCKS]
+    r2 = [q for q in combinations(range(1, 8), 4) if q not in f2c]
+    return ([full_design(7, k) for k in (0, 1, 2)]
+            + [design(7, F1_BLOCKS, "F1"), design(7, r1, "R1"),
+               design(7, f2c, "F2c"), design(7, r2, "R2")]
+            + [full_design(7, k) for k in (5, 6, 7)])
+
+
+def test_kernel_not_friends_error_matches_pairwise(monkeypatch):
+    members = unfriendly_partition()
+    assert power_set_owner(7, members) is not None
+    with pytest.raises(NotFriendsError) as lattice:
+        build_family(members)
+    monkeypatch.setattr(families_mod, "power_set_owner", lambda v, designs: None)
+    with pytest.raises(NotFriendsError) as pairwise:
+        build_family(members)
+    assert str(lattice.value) == str(pairwise.value) == (
+        "F1 and R2 are not friends (witness ProfileMismatch(side=1, i=0, j=8))")
+
+
+def split_partition():
+    """A partition of 2^V, v = 7, into raw families where two members, F1
+    and seven other triples X, share a block size and a block count, and so
+    do their complements."""
+    triples = [t for t in combinations(range(1, 8), 3) if t not in F1_BLOCKS]
+    parts = [F1_BLOCKS, triples[:7], triples[7:]]
+    quads = [[tuple(sorted(set(range(1, 8)) - set(b))) for b in p] for p in parts]
+    return ([full_design(7, k) for k in (0, 1, 2)]
+            + [family(7, p) for p in parts + quads]
+            + [full_design(7, k) for k in (5, 6, 7)])
+
+
+def _subdivision_classes(parent):
+    return [cls.to_family() for _, _, cls in classify_all(parent).all_classes()]
+
+
+COMPLEMENT_CASES = {
+    "fano": partial(_subdivision_classes, fano()),
+    "nine_point": partial(_subdivision_classes, nine_point_design()),
+    "pg23": partial(_subdivision_classes, projective_plane(prime_field(3))),
+    "sts13_s1": partial(_subdivision_classes, sts13_s1()),
+    "sts13_s2": partial(_subdivision_classes, sts13_s2()),
+    "split": split_partition,
+    **{f"unfriendly-{r}": partial(unfriendly_partition, r) for r in range(7)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEMENT_CASES))
+def test_complement_rows_equal_direct_rows(monkeypatch, case):
+    """Rows copied from a complement partner equal the rows the lattice
+    passes give when nothing is copied, for const and for every profile."""
+    fams = COMPLEMENT_CASES[case]()
+    passes = []
+    real = friendship_mod.subset_sums
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(friendship_mod, "subset_sums", counted)
+    const, z = all_pairs_profiles(fams, power_set_owner(fams[0].v, fams))
+    copied_passes = len(passes)
+    passes.clear()
+    const_direct, z_direct = all_pairs_profiles(fams, None)
+    assert copied_passes < len(passes)
+    assert (const == const_direct).all()
+    assert z == z_direct
+
+
+# ---------------------------------------------------------------- owner cache and order
+
+
+def test_alpha_builds_the_owner_once(monkeypatch):
+    fam = pg23_family()
+    masks = random.Random(3).sample(range(1 << fam.v), 100)
+    owner_of = {m: i for i, d in enumerate(fam.members) for m in d.blocks}
+    built = []
+
+    def counted(v, designs):
+        built.append(v)
+        return power_set_owner(v, designs)
+
+    monkeypatch.setattr(families_mod, "power_set_owner", counted)
+    fresh = FriendlyFamily(fam.v, fam.members, fam.pair_profiles)
+    assert [alpha(fresh, m) for m in masks] == [owner_of[m] for m in masks]
+    assert check_alpha_hypotheses(fresh) and check_order_preservation(fresh)
+    assert len(built) == 1
+    rebuilt = build_family(fam.members)
+    assert [alpha(rebuilt, m) for m in masks] == [owner_of[m] for m in masks]
+    assert check_alpha_hypotheses(rebuilt) and check_order_preservation(rebuilt)
+    assert len(built) == 2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(order_families())
+def test_order_relation_matches_less_than(fam):
+    n = len(fam.members)
+    pairs = {(i, j) for i in range(n) for j in range(n) if less_than(fam, i, j)}
+    closure = brute_closure(n, pairs)
+    rel = order_relation(fam)
+    assert order_matrix(fam).tolist() == [
+        [(i, j) in pairs for j in range(n)] for i in range(n)]
+    assert rel.pairs == pairs
+    assert rel.closure == closure
+    assert rel.is_transitive == (closure == pairs)
+    assert rel.closure_antisymmetric == (
+        not any((j, i) in closure for (i, j) in closure if i != j))
+    assert transitive_reduction(rel) == brute_transitive_reduction(n, closure)
+
+
+@st.composite
+def relations(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    node = st.integers(min_value=0, max_value=n - 1)
+    return n, frozenset(draw(st.sets(st.tuples(node, node), max_size=2 * n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(relations())
+@example((4, frozenset({(0, 1), (1, 2), (0, 3)})))  # acyclic
+@example((3, frozenset({(0, 1), (1, 0), (1, 2)})))  # a 2-cycle: x = i and x = j
+@example((2, frozenset({(0, 0), (0, 1)})))  # a loop
+def test_transitive_reduction_matches_set_oracle(rel):
+    """The matrix reduction keeps the old set comprehension's answer on any
+    relation, cycles included; it reads only the stored closure."""
+    n, pairs = rel
+    closure = brute_closure(n, pairs)
+    reach = np.zeros((n, n), dtype=bool)
+    for i, j in closure:
+        reach[i, j] = True
+    rel = OrderRelation(None, pairs, closure == pairs, True, closure, reach)
+    assert transitive_reduction(rel) == brute_transitive_reduction(n, closure)
