@@ -46,6 +46,36 @@ def as_mask(block, v: int | None = None) -> int:
     return mask_from_labels(block, v)
 
 
+def later_copies(arr: np.ndarray) -> np.ndarray:
+    """Boolean array, true at each entry equal to an earlier entry."""
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    out = np.zeros(arr.shape, dtype=bool)
+    out[order[1:][ordered[1:] == ordered[:-1]]] = True
+    return out
+
+
+# _REVERSED_BYTES[x] is the byte x with its bit order reversed
+_REVERSED_BYTES = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+).ravel()
+
+
+def label_rows(masks) -> np.ndarray:
+    """Labels of equal-size masks as a (b x k) int64 matrix, one row per
+    mask, rows in lexicographic order of their label tuples.
+
+    Among same-size sets, A precedes B iff min(A ^ B) lies in A, i.e. iff A
+    is larger once bit i is moved to bit 63-i; that bit reversal is a byte
+    reversal with each byte's bits reversed, read as a big-endian uint64.
+    """
+    arr = np.array(masks, dtype="<u8")
+    reversed_masks = _REVERSED_BYTES[arr.view(np.uint8)].view(">u8")
+    arr = arr[np.argsort(~reversed_masks)]
+    bits = np.unpackbits(arr.view(np.uint8), bitorder="little").view(bool)
+    return (np.flatnonzero(bits) % 64 + 1).reshape(arr.size, -1)
+
+
 def format_block(mask: int) -> str:
     return "{" + ",".join(str(x) for x in labels_from_mask(mask)) + "}"
 

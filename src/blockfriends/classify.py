@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .blocks import full_mask, level_masks
-from .designs import BlockDesign, DesignError, DesignParams, detect_design
+from .designs import BlockDesign, DesignError, DesignParams, detect_params
 from .families import power_set_owner
 from .friendship import all_pairs_profiles, are_friends
 from .profiles import IntersectionProfile, intersection_sizes, profile_rows
@@ -79,12 +79,6 @@ def _key_weights(b: int, k: int) -> np.ndarray:
     return w
 
 
-def _annotate(v: int, members: tuple[int, ...]) -> tuple[DesignParams | None, str]:
-    if len(members) == 1 and members[0] == 0:
-        return None, "the empty set is not a block of any design"
-    return detect_design(members, v)
-
-
 def classify_level(
     parent: BlockDesign, n: int, keep_members: bool = True
 ) -> tuple[SubsetClass, ...]:
@@ -124,7 +118,7 @@ def classify_level(
         sig = IntersectionProfile(tuple(sig_row), n)
         if keep_members:
             members = tuple(subs[order[lo:hi]].tolist())
-            params, witness = _annotate(v, members)
+            params, witness = detect_params(members, v)
         else:
             members, (params, witness) = None, (None, "members not retained")
         classes.append(SubsetClass(v, n, sig, hi - lo, members, params, witness))
@@ -140,14 +134,14 @@ def _derive_complement_level(
     B iff min(A ^ B) lies in A, and complementing both leaves A ^ B unchanged.
     So the complemented members, read backwards, are in enumeration order.
     """
-    fm = full_mask(v)
+    fm = np.uint64(full_mask(v))
     derived = []
     for cls in source:
         sig = IntersectionProfile(tuple(reversed(cls.signature.z)), v - cls.n)
         members, params, witness = None, cls.params, cls.witness
         if cls.members is not None:
-            members = tuple(fm ^ m for m in reversed(cls.members))
-            params, witness = _annotate(v, members)
+            members = tuple((fm ^ np.array(cls.members[::-1], dtype=np.uint64)).tolist())
+            params, witness = detect_params(members, v)
         derived.append(
             SubsetClass(v, v - cls.n, sig, cls.size, members, params, witness)
         )

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .blocks import format_block, mask_from_labels
-from .designs import BlockDesign, DesignError, detect_design, full_design
+from .designs import BlockDesign, DesignError, detect_params, full_design
 from .families import (
     NotFriendsError,
     build_family,
@@ -76,7 +76,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def cmd_verify(args) -> int:
     d = _load(args.file, raw=True)
-    params, witness = detect_design(d.blocks, d.v)
+    params = d.params
+    witness = "" if params else detect_params(d.blocks, d.v)[1]  # only a failure needs it
     ok = params is not None
     payload = {
         "file": args.file,

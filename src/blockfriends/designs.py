@@ -8,6 +8,7 @@ of blocks; block order is preserved for storage but ignored by equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
@@ -18,6 +19,7 @@ from .blocks import (
     format_block,
     full_mask,
     labels_from_mask,
+    later_copies,
     MAX_GROUND,
     subsets_of_size,
 )
@@ -95,20 +97,46 @@ class BlockDesign:
         return f"BlockDesign(v={self.v}, {tag}, params={self.params})"
 
 
+def _first_invalid(masks, v: int) -> int:
+    """Index of the first mask that is negative, reaches past element v or
+    repeats an earlier mask; len(masks) if there is none."""
+    try:
+        arr = np.array(masks, dtype=np.uint64)
+        bad = arr >> np.uint64(v) != 0
+    except OverflowError:  # a negative mask, or one of 64 bits or more
+        obj = np.array(masks, dtype=object)
+        bad = (obj < 0) | (obj >> v != 0)
+        arr = np.where(bad, 0, obj).astype(np.uint64)
+    bad |= later_copies(arr)
+    return int(np.argmax(bad)) if bad.any() else len(masks)
+
+
 def _normalize_blocks(blocks: Iterable, v: int) -> tuple[int, ...]:
+    """The blocks as a tuple of masks, checked in input order: the first
+    block that is out of range, has bad labels or repeats an earlier block
+    raises.  Int masks are checked in bulk; label iterables are converted
+    in order up to the first bad one."""
     if not 1 <= v <= MAX_GROUND:
         raise DesignError(f"ground set size {v} outside 1..{MAX_GROUND}")
-    out = []
-    seen = set()
-    for blk in blocks:
-        m = as_mask(blk, v)
-        if m in seen:
-            raise DesignError(f"duplicate block {format_block(m)}")
-        seen.add(m)
-        out.append(m)
-    if not out:
+    masks = tuple(blocks)
+    pending = None
+    if not all(map(isinstance, masks, repeat(int))):
+        converted: list[int] = []
+        try:
+            # list.extend keeps the masks converted before a failing block
+            converted.extend(map(as_mask, masks, repeat(v)))
+        except ValueError as exc:
+            pending = exc
+        masks = tuple(converted)
+    i = _first_invalid(masks, v)
+    if i < len(masks):
+        as_mask(masks[i], v)  # raises first if the mask is out of range
+        raise DesignError(f"duplicate block {format_block(masks[i])}")
+    if pending is not None:
+        raise pending
+    if not masks:
         raise DesignError("a block family needs at least one block")
-    return tuple(out)
+    return masks
 
 
 def detect_design(blocks, v: int) -> tuple[Optional[DesignParams], str]:
@@ -119,7 +147,12 @@ def detect_design(blocks, v: int) -> tuple[Optional[DesignParams], str]:
     labels are input errors and raise, they are not a verdict.
     Block size 1 is accepted with lambda = 0 (no pair ever occurs).
     """
-    masks = _normalize_blocks(blocks, v)
+    return detect_params(_normalize_blocks(blocks, v), v)
+
+
+def detect_params(masks: tuple[int, ...], v: int) -> tuple[Optional[DesignParams], str]:
+    """detect_design for masks already known to be distinct and within
+    1..v, such as those of a BlockDesign: nothing is validated again."""
     arr = np.array(masks, dtype=np.uint64)
     sizes = np.bitwise_count(arr)
     if sizes.min() != sizes.max():
@@ -158,10 +191,8 @@ def detect_design(blocks, v: int) -> tuple[Optional[DesignParams], str]:
 def design(v: int, blocks, name: str = "") -> BlockDesign:
     """Build a validated design; raises DesignError with a witness if axioms fail."""
     masks = _normalize_blocks(blocks, v)
-    if len(masks) == 1 and masks[0] in (0, full_mask(v)):
-        return BlockDesign(v, masks, detect_design(masks, v)[0], name)
-    params, witness = detect_design(masks, v)
-    if params is None:
+    params, witness = detect_params(masks, v)
+    if params is None and masks != (0,):  # the empty-block design is degenerate
         raise DesignError(f"not a block design: {witness}")
     return BlockDesign(v, masks, params, name)
 
@@ -169,14 +200,10 @@ def design(v: int, blocks, name: str = "") -> BlockDesign:
 def family(v: int, blocks, name: str = "") -> BlockDesign:
     """Build a raw family of distinct equal-sized blocks; params attach only if valid."""
     masks = _normalize_blocks(blocks, v)
-    sizes = {m.bit_count() for m in masks}
-    if len(sizes) != 1:
-        raise DesignError(f"block sizes differ: {sorted(sizes)}")
-    k = sizes.pop()
-    if k == 0 and len(masks) == 1:
-        return BlockDesign(v, masks, None, name)
-    params, _ = detect_design(masks, v)
-    return BlockDesign(v, masks, params, name)
+    sizes = np.unique(np.bitwise_count(np.array(masks, dtype=np.uint64)))
+    if sizes.size != 1:
+        raise DesignError(f"block sizes differ: {sizes.tolist()}")
+    return BlockDesign(v, masks, detect_params(masks, v)[0], name)
 
 
 def empty_design(v: int) -> BlockDesign:
@@ -217,11 +244,7 @@ def complement_design(d: BlockDesign, name: str | None = None) -> BlockDesign:
     masks = tuple(fm ^ m for m in d.blocks)
     if name is None:
         name = f"{d.name}-complement" if d.name else ""
-    if len(masks) == 1 and masks[0] in (0, fm):
-        out = BlockDesign(d.v, masks, detect_design(masks, d.v)[0] if masks[0] else None, name)
-    else:
-        params, _ = detect_design(masks, d.v)
-        out = BlockDesign(d.v, masks, params, name)
+    out = BlockDesign(d.v, masks, detect_params(masks, d.v)[0], name)
     if d.params is not None and out.params is not None:
         expected = complement_params(d.params)
         if out.params != expected:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
-from .blocks import as_mask, labels_from_mask, subset_sums
+from .blocks import as_mask, label_rows, subset_sums
 from .designs import BlockDesign, DesignError
 from .friendship import all_pairs_profiles, are_friends
 from .profiles import IntersectionProfile
@@ -42,8 +43,10 @@ class FriendlyFamily:
         return power_set_owner(self.v, self.members)
 
 
-def _canonical_key(d: BlockDesign):
-    return (d.k, sorted(labels_from_mask(m) for m in d.blocks))
+def _canonical_key(d: BlockDesign) -> tuple[int, bytes]:
+    """Block size, then the sorted block label tuples; as labels are at most
+    64, one byte per label compares the same way."""
+    return (d.k, label_rows(d.blocks).astype(np.uint8).tobytes())
 
 
 def build_family(designs) -> FriendlyFamily:
@@ -59,7 +62,8 @@ def build_family(designs) -> FriendlyFamily:
     failing pair goes to are_friends, for its witness.  Other families, such
     as any on more than 32 points, are checked pair by pair.
     """
-    members = sorted(designs, key=_canonical_key)
+    keyed = sorted(((_canonical_key(d), d) for d in designs), key=itemgetter(0))
+    members = [d for _, d in keyed]
     if not members:
         raise DesignError("a friendly family needs at least one member")
     v = members[0].v
@@ -68,10 +72,10 @@ def build_family(designs) -> FriendlyFamily:
             raise DesignError(f"ground sets differ: {v} vs {d.v}")
         if not d.counts_as_design:
             raise DesignError(f"{d.name or d!r} is not a validated design")
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if members[i] == members[j]:
-                raise DesignError(f"duplicate member {members[i].name or i}")
+    # equal members have equal keys, so after the sort they are neighbours
+    for i, ((key, d), (next_key, _)) in enumerate(zip(keyed, keyed[1:])):
+        if key == next_key:
+            raise DesignError(f"duplicate member {d.name or i}")
     profiles: dict[tuple[int, int], IntersectionProfile] = {}
     owner = power_set_owner(v, members)
     if owner is not None:

@@ -91,6 +91,13 @@ def _binomial_inverse(k: int) -> np.ndarray:
     return inv
 
 
+def _moment_dtype(b: int, k: int) -> type:
+    """int32 when every moment of a b-block, block size k family fits in it:
+    M_t <= b C(k, t) <= b C(k, k // 2), and so are the partial sums of the
+    transforms, whose terms are non-negative."""
+    return np.int32 if b * comb(k, k // 2) < 1 << 31 else np.int64
+
+
 def all_pairs_profiles(
     fams: list[BlockDesign], owner: np.ndarray | None
 ) -> tuple[np.ndarray, list[list[tuple[int, ...]]]]:
@@ -107,9 +114,11 @@ def all_pairs_profiles(
     M_t(s) = sum over blocks a of C(|a & s|, t), for every subset s at once.
     The moments M_0..M_k map to the profile unit-triangularly, so A's
     profile is constant over B iff each M_t is, and
-    z_j = sum over t >= j of (-1)^(t-j) C(t, j) M_t.  int64 holds the
-    moments exactly (M_t <= b C(k, t) <= 2^v C(v, v/2) < 2^63 for v <= 32);
-    the inversion runs on Python ints, as its products need not fit.
+    z_j = sum over t >= j of (-1)^(t-j) C(t, j) M_t.  The moments are exact
+    in int64 (M_t <= b C(k, t) <= 2^v C(v, v/2) < 2^63 for v <= 32), and in
+    int32, which halves the memory the transforms stream, whenever
+    b C(k, k/2) < 2^31; the inversion runs on Python ints, as its products
+    need not fit.
 
     `owner` is power_set_owner of fams, or None.  With it, a member whose
     blocks are exactly the complements of an earlier member c's blocks
@@ -137,10 +146,11 @@ def all_pairs_profiles(
                 picked = np.take_along_axis(rows[c], src.clip(0, fams[c].k), axis=0)
                 rows.append(np.where(inside, picked, 0))
                 continue
-        f = np.zeros(1 << v, dtype=np.int64)
+        dtype = _moment_dtype(d.b, d.k)
+        f = np.zeros(1 << v, dtype=dtype)
         f[blocks[a]] = 1
         subset_sums(f, v, supersets=True)
-        moments = np.full((d.k + 1, n), d.b, dtype=np.int64)  # M_0 = b
+        moments = np.full((d.k + 1, n), d.b, dtype=dtype)  # M_0 = b
         for t in range(1, d.k + 1):
             moment = subset_sums(np.where(rank == t, f, 0), v)[order]
             const[a] &= np.minimum.reduceat(moment, starts) == np.maximum.reduceat(

@@ -103,3 +103,103 @@ def brute_transitive_reduction(n, closure):
         for (i, j) in closure
         if not any((i, x) in closure and (x, j) in closure for x in range(n))
     )
+
+
+class BruteParseError(ValueError):
+    """A design-file error at a 1-based line, as the line-by-line parser reports it."""
+
+    def __init__(self, line, message):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def _brute_mask(labels, v):
+    """Mask of one block line; labels above v or above 64 and repeated
+    labels raise, in the order the labels are read."""
+    bound = min(v, 64)
+    mask = 0
+    for x in labels:
+        if not 1 <= x <= bound:
+            raise ValueError(f"element label {x} out of range 1..{bound}")
+        if mask >> (x - 1) & 1:
+            raise ValueError(f"repeated element label {x}")
+        mask |= 1 << (x - 1)
+    return mask
+
+
+def brute_parse(text):
+    """The design-file parser read one line at a time: (v, masks), or
+    BruteParseError at the first bad line.  Header, integer and positivity
+    errors are found in one pass, then the ground-set size is fixed (the
+    largest label when v= is absent), then range, repeat and duplicate
+    errors in a second pass."""
+    v_declared = None
+    raw = []
+    seen_data = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if stripped.startswith("v="):
+            if seen_data or v_declared is not None:
+                raise BruteParseError(lineno, "v= must be the first data line")
+            try:
+                v_declared = int(stripped[2:])
+            except ValueError:
+                raise BruteParseError(lineno, f"bad ground-set size {stripped!r}") from None
+            if not 1 <= v_declared <= 64:
+                raise BruteParseError(lineno, f"v={v_declared} outside 1..64")
+            continue
+        seen_data = True
+        try:
+            labels = tuple(int(tok) for tok in stripped.split())
+        except ValueError:
+            raise BruteParseError(lineno, f"non-integer token in {stripped!r}") from None
+        if any(x < 1 for x in labels):
+            raise BruteParseError(lineno, "labels must be positive")
+        raw.append((lineno, labels))
+    if not raw:
+        raise BruteParseError(1, "no blocks in file")
+    v = v_declared if v_declared is not None else max(max(labels) for _, labels in raw)
+    masks = []
+    seen = set()
+    for lineno, labels in raw:
+        try:
+            m = _brute_mask(labels, v)
+        except ValueError as exc:
+            raise BruteParseError(lineno, str(exc)) from None
+        if m in seen:
+            raise BruteParseError(
+                lineno, "duplicate block " + " ".join(str(x) for x in sorted(labels))
+            )
+        seen.add(m)
+        masks.append(m)
+    return v, masks
+
+
+def brute_labels(v, mask):
+    """Sorted labels of a mask on {1..v}, one bit test per element."""
+    return tuple(x for x in range(1, v + 1) if mask >> (x - 1) & 1)
+
+
+def brute_render(v, masks, comment=""):
+    """The design-file text: comment lines, v=, then the label tuples
+    sorted lexicographically."""
+    lines = [f"# {part}" for part in comment.splitlines()] + [f"v={v}"]
+    rows = sorted(brute_labels(v, m) for m in masks)
+    return "\n".join(lines + [" ".join(map(str, row)) for row in rows]) + "\n"
+
+
+def brute_family_order(designs):
+    """(members, error) for a would-be friendly family: the members sorted
+    by block size, then by their sorted block label tuples; error is the
+    duplicate-member message for the first i with a later member equal to
+    member i (pairwise ==), or None."""
+    members = sorted(
+        designs, key=lambda d: (d.k, sorted(brute_labels(d.v, m) for m in d.blocks))
+    )
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if members[i] == members[j]:
+                return members, f"duplicate member {members[i].name or i}"
+    return members, None

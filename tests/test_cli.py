@@ -3,6 +3,7 @@ import json
 import pytest
 
 from blockfriends import fano, full_design, load_design, save_design, sts13_s1
+from blockfriends import cli as cli_mod
 from blockfriends.cli import main
 
 
@@ -45,6 +46,25 @@ def test_verify_negative(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(bad))
     assert code == 1
     assert "not a design" in out and "pair" in out
+
+
+@pytest.mark.parametrize("label", ["70", "99999999999999999999999"])
+def test_label_above_64_without_header(capsys, tmp_path, label):
+    """With no v= line the range is 1..64, not 1..(largest label), and a
+    label past int64 is still an input error with its line number."""
+    path = tmp_path / "big.design"
+    path.write_text(f"1 2\n1 {label}\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: element label {label} out of range 1..64\n"
+
+
+def test_verify_reads_params_from_the_load(capsys, monkeypatch, fano_file):
+    """Loading the file already checked the axioms; a design is not
+    checked again."""
+    monkeypatch.setattr(cli_mod, "detect_params", lambda *a: pytest.fail("checked twice"))
+    code, out, _ = run(capsys, "verify", fano_file)
+    assert (code, out) == (0, "design: v=7 b=7 r=3 k=3 lambda=1\n")
 
 
 def test_verify_json(capsys, fano_file):

@@ -394,6 +394,28 @@ def test_complement_rows_equal_direct_rows(monkeypatch, case):
     assert z == z_direct
 
 
+def test_int32_moments_equal_int64_moments(monkeypatch):
+    """Every transform of the PG(2,3) subdivision runs in int32, and forcing
+    int64 gives the same const and z."""
+    fams = COMPLEMENT_CASES["pg23"]()
+    assert {friendship_mod._moment_dtype(d.b, d.k) for d in fams} == {np.int32}
+    const, z = all_pairs_profiles(fams, None)
+    monkeypatch.setattr(friendship_mod, "_moment_dtype", lambda b, k: np.int64)
+    const_wide, z_wide = all_pairs_profiles(fams, None)
+    assert (const == const_wide).all()
+    assert z == z_wide
+
+
+@pytest.mark.parametrize("b, k, dtype", [
+    ((1 << 31) // 20, 6, np.int32),  # b C(6, 3) = 2^31 - 8
+    ((1 << 31) // 20 + 1, 6, np.int64),
+    ((1 << 31) - 1, 1, np.int32),  # C(1, 0) = 1
+    (1 << 31, 1, np.int64),
+])
+def test_moment_dtype_bound(b, k, dtype):
+    assert friendship_mod._moment_dtype(b, k) is dtype
+
+
 # ---------------------------------------------------------------- owner cache and order
 
 
