@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -417,7 +418,9 @@ def _thread_count(text: str) -> int:
     return n
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(
         prog="blockfriends",
         description="Block designs: intersection profiles, friendship, "

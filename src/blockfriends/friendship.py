@@ -7,10 +7,11 @@ intersection-size matrix; it works for any ground set up to 64 points.
 
 `all_pairs_profiles` is the all-pairs kernel for a family whose blocks
 partition the power set 2^V, where pairwise work would be about 4^v/2
-cells.  Per member it runs k+1 passes over the subset lattice (Bjorklund,
-Husfeldt, Kaski, Koivisto, "Fourier meets Moebius", STOC 2007), reads off
-whether each profile is constant over each other member, and recovers
-every pair profile by binomial inversion.  A member made of the
+cells.  It runs k+1 transforms over the subset lattice per member
+(Bjorklund, Husfeldt, Kaski, Koivisto, "Fourier meets Moebius", STOC 2007),
+many columns to one numpy pass while a block of them fits BLOCK_CELLS,
+reads off whether each profile is constant over each other member, and
+recovers every pair profile by binomial inversion.  A member made of the
 complements of an earlier member's blocks copies that member's row.
 """
 
@@ -98,6 +99,12 @@ def _moment_dtype(b: int, k: int) -> type:
     return np.int32 if b * comb(k, k // 2) < 1 << 31 else np.int64
 
 
+# Lattice cells (2^v subsets times columns) that one block of transforms
+# holds.  Every pass of a transform runs over all columns of its block at
+# once, so at v = 13 a block holds 8 columns; from v = 16 on it holds one.
+BLOCK_CELLS = 1 << 16
+
+
 def all_pairs_profiles(
     fams: list[BlockDesign], owner: np.ndarray | None
 ) -> tuple[np.ndarray, list[list[tuple[int, ...]]]]:
@@ -120,6 +127,14 @@ def all_pairs_profiles(
     b C(k, k/2) < 2^31; the inversion runs on Python ints, as its products
     need not fit.
 
+    The transforms run on blocks of BLOCK_CELLS >> v columns (one at
+    least), each pass over all columns of a block at once: the indicators
+    of that many members are one superset sum, and their ranked columns,
+    f_A on the t-subsets for t = 1..k_A, a block at a time are one subset
+    sum, gathered once at the blocks of every member.  A block boundary may
+    fall inside a member's columns.  A block is int64 when any member in it
+    needs int64.
+
     `owner` is power_set_owner of fams, or None.  With it, a member whose
     blocks are exactly the complements of an earlier member c's blocks
     copies row c: its blocks meet a k_b-set beta in k_b - |c & beta| points,
@@ -129,35 +144,54 @@ def all_pairs_profiles(
     v = fams[0].v
     n = len(fams)
     rank = np.bitwise_count(np.arange(1 << v, dtype=np.uint64))
+    # of_rank[t] = the t-subsets, so a ranked column copies only their rows
+    of_rank = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
     blocks = [np.fromiter(d.blocks, dtype=np.int64, count=d.b) for d in fams]
     order = np.concatenate(blocks)  # the blocks of each family in turn
     starts = np.cumsum([0] + [d.b for d in fams[:-1]])
     ks = np.array([d.k for d in fams])
-    const = np.ones((n, n), dtype=bool)
-    rows: list[np.ndarray] = []  # rows[a][j, b] = z_j(a, b), Python ints
-    for a, d in enumerate(fams):
-        if owner is not None:
+    source = [-1] * n  # source[a] = c when row a is copied from row c
+    if owner is not None:
+        for a, d in enumerate(fams):
             partners = owner[full_mask(v) ^ blocks[a]]
             c = int(partners[0])
             if c < a and fams[c].b == d.b and (partners == c).all():
-                const[a] = const[c]
-                src = ks[None, :] - np.arange(d.k + 1)[:, None]
-                inside = (src >= 0) & (src <= fams[c].k)
-                picked = np.take_along_axis(rows[c], src.clip(0, fams[c].k), axis=0)
-                rows.append(np.where(inside, picked, 0))
-                continue
-        dtype = _moment_dtype(d.b, d.k)
-        f = np.zeros(1 << v, dtype=dtype)
-        f[blocks[a]] = 1
+                source[a] = c
+    const = np.ones((n, n), dtype=bool)
+    # moments[a][t, b] = M_t(a) at the first block of b; M_0 = b_a
+    moments = [np.full((d.k + 1, n), d.b, dtype=np.int64) for d in fams]
+    direct = [a for a in range(n) if source[a] < 0 and fams[a].k > 0]
+    width = max(1, BLOCK_CELLS >> v)
+    for lo in range(0, len(direct), width):
+        members = direct[lo : lo + width]
+        dtype = np.result_type(*(_moment_dtype(fams[a].b, fams[a].k) for a in members))
+        f = np.zeros((1 << v, len(members)), dtype=dtype)
+        for col, a in enumerate(members):
+            f[blocks[a], col] = 1
         subset_sums(f, v, supersets=True)
-        moments = np.full((d.k + 1, n), d.b, dtype=dtype)  # M_0 = b
-        for t in range(1, d.k + 1):
-            moment = subset_sums(np.where(rank == t, f, 0), v)[order]
-            const[a] &= np.minimum.reduceat(moment, starts) == np.maximum.reduceat(
-                moment, starts
-            )
-            moments[t] = moment[starts]
-        rows.append(_binomial_inverse(d.k) @ moments.astype(object))
+        # ranked column (a, col, t): f_a, column col of f, on the t-subsets
+        ranked = [(a, col, t) for col, a in enumerate(members) for t in range(1, ks[a] + 1)]
+        for first in range(0, len(ranked), width):
+            chunk = ranked[first : first + width]
+            g = np.zeros((1 << v, len(chunk)), dtype=dtype)
+            for j, (_, col, t) in enumerate(chunk):
+                g[of_rank[t], j] = f[of_rank[t], col]
+            g = subset_sums(g, v)[order]  # row i: block i of the family order
+            flat = np.minimum.reduceat(g, starts) == np.maximum.reduceat(g, starts)
+            for j, (a, _, t) in enumerate(chunk):
+                const[a] &= flat[:, j]
+                moments[a][t] = g[starts, j]
+    rows: list[np.ndarray] = []  # rows[a][j, b] = z_j(a, b), Python ints
+    for a, d in enumerate(fams):
+        c = source[a]
+        if c >= 0:
+            const[a] = const[c]
+            src = ks[None, :] - np.arange(d.k + 1)[:, None]
+            inside = (src >= 0) & (src <= fams[c].k)
+            picked = np.take_along_axis(rows[c], src.clip(0, fams[c].k), axis=0)
+            rows.append(np.where(inside, picked, 0))
+        else:
+            rows.append(_binomial_inverse(d.k) @ moments[a].astype(object))
     z = [[tuple(col) for col in row.T.tolist()] for row in rows]
     return const, z
 

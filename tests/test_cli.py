@@ -138,6 +138,38 @@ def test_classify_requires_mode(capsys, s1_file):
     assert exc.value.code == 2
 
 
+def test_main_reuses_one_parser(capsys, tmp_path, fano_file):
+    """Calls of main() in one process share the parser built by the first,
+    and each gives the exit code, stdout and stderr of a freshly built one."""
+    exp = tmp_path / "fam"
+    assert run(capsys, "catalog", "export", "fano_family", "-o", str(exp))[0] == 0
+    files = sorted(str(p) for p in exp.glob("*.design"))
+    commands = [
+        ["classify", fano_file],  # usage error: -n or --all is required
+        ["classify", fano_file, "--all", "--report"],
+        ["poset", *files, "--add-degenerate", "--check-alpha", "--dot", "-"],
+        ["classify", fano_file],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli_mod.build_parser.cache_clear()
+    shared = [outcome(argv) for argv in commands]
+    assert cli_mod.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in commands:
+        cli_mod.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 2]
+
+
 def test_classify_level_above_sweep_limit_exit_code(capsys, tmp_path):
     pg7 = str(tmp_path / "pg7.design")
     assert run(capsys, "pg", "--order", "7", "-o", pg7)[0] == 0

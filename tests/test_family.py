@@ -375,21 +375,22 @@ COMPLEMENT_CASES = {
 @pytest.mark.parametrize("case", sorted(COMPLEMENT_CASES))
 def test_complement_rows_equal_direct_rows(monkeypatch, case):
     """Rows copied from a complement partner equal the rows the lattice
-    passes give when nothing is copied, for const and for every profile."""
+    passes give when nothing is copied, for const and for every profile,
+    and copying transforms fewer lattice columns."""
     fams = COMPLEMENT_CASES[case]()
-    passes = []
+    columns = []
     real = friendship_mod.subset_sums
 
-    def counted(*args, **kwargs):
-        passes.append(1)
-        return real(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        columns.append(a.shape[1] if a.ndim == 2 else 1)
+        return real(a, *args, **kwargs)
 
     monkeypatch.setattr(friendship_mod, "subset_sums", counted)
     const, z = all_pairs_profiles(fams, power_set_owner(fams[0].v, fams))
-    copied_passes = len(passes)
-    passes.clear()
+    copied = sum(columns)
+    columns.clear()
     const_direct, z_direct = all_pairs_profiles(fams, None)
-    assert copied_passes < len(passes)
+    assert copied < sum(columns)
     assert (const == const_direct).all()
     assert z == z_direct
 
@@ -404,6 +405,36 @@ def test_int32_moments_equal_int64_moments(monkeypatch):
     const_wide, z_wide = all_pairs_profiles(fams, None)
     assert (const == const_wide).all()
     assert z == z_wide
+
+
+BLOCK_CASES = {
+    **COMPLEMENT_CASES,
+    "fano_family": lambda: list(fano_family().members),
+    "pg23_family": lambda: list(pg23_family().members),
+    **{f"full_chain-{v}": partial(lambda v: list(full_chain(v).members), v)
+       for v in range(4, 8)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_size_does_not_change_results(monkeypatch, case):
+    """Blocks of one, two or three columns give the const and z of the
+    default blocks, with rows copied or not.  Two- and three-column blocks
+    end inside the ranked columns of a member; with int32 and int64 members
+    mixed, the blocks holding both run in int64."""
+    fams = BLOCK_CASES[case]()
+    v = fams[0].v
+    for owner in (power_set_owner(v, fams), None):
+        const, z = all_pairs_profiles(fams, owner)
+        for columns, mixed in ((1, False), (2, False), (3, False), (3, True)):
+            with monkeypatch.context() as m:
+                m.setattr(friendship_mod, "BLOCK_CELLS", columns << v)
+                if mixed:
+                    m.setattr(friendship_mod, "_moment_dtype",
+                              lambda b, k: np.int64 if k % 2 else np.int32)
+                const_blocked, z_blocked = all_pairs_profiles(fams, owner)
+            assert (const_blocked == const).all()
+            assert z_blocked == z
 
 
 @pytest.mark.parametrize("b, k, dtype", [
