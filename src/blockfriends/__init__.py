@@ -35,10 +35,10 @@ from .profiles import (
 from .friendship import (
     FriendshipVerdict,
     ProfileMismatch,
-    all_pairs_profiles,
     are_friends,
     check_count_identity,
     complement_transfer,
+    constant_profiles,
     is_self_friend,
     transitivity_counterexample,
 )

@@ -15,9 +15,9 @@ from math import comb
 import numpy as np
 
 from .blocks import full_mask, level_masks
-from .designs import BlockDesign, DesignError, DesignParams, detect_params
+from .designs import BlockDesign, DesignError, DesignParams, complement_params, detect_params
 from .families import power_set_owner
-from .friendship import all_pairs_profiles, are_friends
+from .friendship import are_friends, constant_profiles
 from .profiles import IntersectionProfile, intersection_sizes, profile_rows
 
 SWEEP_LIMIT = 24
@@ -141,7 +141,10 @@ def _derive_complement_level(
         members, params, witness = None, cls.params, cls.witness
         if cls.members is not None:
             members = tuple((fm ^ np.array(cls.members[::-1], dtype=np.uint64)).tolist())
-            params, witness = detect_params(members, v)
+            params, witness = (
+                (complement_params(cls.params), "") if cls.params
+                else detect_params(members, v)
+            )
         derived.append(
             SubsetClass(v, v - cls.n, sig, cls.size, members, params, witness)
         )
@@ -192,9 +195,6 @@ class SubdivisionReport:
     alpha_ok: bool
     conjecture: bool
 
-    def key_index(self, n: int, j: int) -> int:
-        return self.class_keys.index((n, j))
-
 
 def analyze(sub: Subdivision) -> SubdivisionReport:
     """Check which classes are designs and whether they form a friendly family.
@@ -217,7 +217,7 @@ def analyze(sub: Subdivision) -> SubdivisionReport:
 
     m = len(fams)
     owner = power_set_owner(v, fams)
-    const, _ = all_pairs_profiles(fams, owner)
+    const = constant_profiles(fams, owner)
     matrix = (const & const.T).tolist()
     self_friend = tuple(matrix[i][i] for i in range(m))
     level_friendly = []

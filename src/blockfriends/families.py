@@ -16,8 +16,8 @@ import numpy as np
 
 from .blocks import as_mask, label_rows, subset_sums
 from .designs import BlockDesign, DesignError
-from .friendship import all_pairs_profiles, are_friends
-from .profiles import IntersectionProfile
+from .friendship import are_friends, constant_profiles
+from .profiles import IntersectionProfile, intersection_sizes, profile_rows
 
 
 class NotFriendsError(DesignError):
@@ -33,9 +33,6 @@ class FriendlyFamily:
     def member_label(self, i: int) -> str:
         d = self.members[i]
         return d.name or f"member-{i}"
-
-    def index_of(self, d: BlockDesign) -> int:
-        return self.members.index(d)
 
     @cached_property
     def owner(self) -> np.ndarray | None:
@@ -57,10 +54,12 @@ def build_family(designs) -> FriendlyFamily:
     A failing pair raises NotFriendsError with the two member names and the
     probe witness; other bad input raises DesignError.
 
-    When the members' blocks partition 2^V, all_pairs_profiles gives every
-    verdict and profile from passes over the subset lattice, and only a
-    failing pair goes to are_friends, for its witness.  Other families, such
-    as any on more than 32 points, are checked pair by pair.
+    When the members' blocks partition 2^V, constant_profiles shows which
+    pairs are friends from passes over the subset lattice, and only a pair
+    it does not show goes to are_friends, for its verdict and witness.
+    Other families, such as any on more than 32 points, are checked pair by
+    pair.  Every stored profile phi(members[i], members[j]) is counted by
+    the popcount kernel against the first block of members[j].
     """
     keyed = sorted(((_canonical_key(d), d) for d in designs), key=itemgetter(0))
     members = [d for _, d in keyed]
@@ -76,26 +75,28 @@ def build_family(designs) -> FriendlyFamily:
     for i, ((key, d), (next_key, _)) in enumerate(zip(keyed, keyed[1:])):
         if key == next_key:
             raise DesignError(f"duplicate member {d.name or i}")
-    profiles: dict[tuple[int, int], IntersectionProfile] = {}
+    n = len(members)
     owner = power_set_owner(v, members)
+    known = np.zeros((n, n), dtype=bool)  # pairs already shown to be friends
     if owner is not None:
-        const, z = all_pairs_profiles(members, owner)
-        friends = const & const.T
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if owner is not None and friends[i, j]:
-                profiles[(i, j)] = IntersectionProfile(z[i][j], members[j].k)
-                profiles[(j, i)] = IntersectionProfile(z[j][i], members[i].k)
-                continue
-            verdict = are_friends(members[i], members[j])
-            if not verdict.friends:
-                a = members[i].name or f"member-{i}"
-                b = members[j].name or f"member-{j}"
-                raise NotFriendsError(
-                    f"{a} and {b} are not friends (witness {verdict.witness})"
-                )
-            profiles[(i, j)] = verdict.profile_1_2
-            profiles[(j, i)] = verdict.profile_2_1
+        const = constant_profiles(members, owner)
+        known = const & const.T
+    firsts = [d.blocks[0] for d in members]
+    # rows[i][j] = the profile of members[i] against the first block of members[j]
+    rows = [profile_rows(intersection_sizes(firsts, d.blocks), d.k).tolist() for d in members]
+    profiles: dict[tuple[int, int], IntersectionProfile] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not known[i, j]:
+                verdict = are_friends(members[i], members[j])
+                if not verdict.friends:
+                    a = members[i].name or f"member-{i}"
+                    b = members[j].name or f"member-{j}"
+                    raise NotFriendsError(
+                        f"{a} and {b} are not friends (witness {verdict.witness})"
+                    )
+            profiles[(i, j)] = IntersectionProfile(tuple(rows[i][j]), members[j].k)
+            profiles[(j, i)] = IntersectionProfile(tuple(rows[j][i]), members[i].k)
     fam = FriendlyFamily(v, tuple(members), profiles)
     fam.__dict__["owner"] = owner  # seed the cached property with the array built here
     return fam

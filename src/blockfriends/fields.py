@@ -26,6 +26,8 @@ class FieldTables:
 def verify_field(t: FieldTables) -> None:
     """Exhaustively check the field axioms; raises with a witness triple."""
     q, add, mul = t.q, t.add, t.mul
+    if q < 2:
+        raise FieldError(f"order {q} below 2: a field needs 0 != 1")
     rng = range(q)
     for table, op in ((add, "+"), (mul, "*")):
         if len(table) != q or any(len(row) != q for row in table):
@@ -98,7 +100,10 @@ def load_field_tables(text: str) -> FieldTables:
         if s.startswith("q="):
             if q is not None:
                 raise FieldError(f"line {lineno}: repeated q= line")
-            q = int(s[2:])
+            try:
+                q = int(s[2:])
+            except ValueError:
+                raise FieldError(f"line {lineno}: non-integer order in {s!r}") from None
             continue
         if s == "*":
             if sep_at is not None:

@@ -5,14 +5,14 @@ against a single block of the other does not depend on which block was
 chosen.  `are_friends` decides one pair with O(b1*b2) popcounts on a numpy
 intersection-size matrix; it works for any ground set up to 64 points.
 
-`all_pairs_profiles` is the all-pairs kernel for a family whose blocks
+`constant_profiles` is the all-pairs kernel for a family whose blocks
 partition the power set 2^V, where pairwise work would be about 4^v/2
 cells.  It runs k+1 transforms over the subset lattice per member
 (Bjorklund, Husfeldt, Kaski, Koivisto, "Fourier meets Moebius", STOC 2007),
-many columns to one numpy pass while a block of them fits BLOCK_CELLS,
-reads off whether each profile is constant over each other member, and
-recovers every pair profile by binomial inversion.  A member made of the
-complements of an earlier member's blocks copies that member's row.
+many columns to one numpy pass while a block of them fits BLOCK_CELLS, and
+reads off only whether each profile is constant over each other member;
+the profiles themselves come from the popcount kernel.  A member made of
+the complements of an earlier member's blocks copies that member's row.
 """
 
 from __future__ import annotations
@@ -82,16 +82,6 @@ def are_friends(d1: BlockDesign, d2: BlockDesign) -> FriendshipVerdict:
     return FriendshipVerdict(True, p12, p21, None, flags)
 
 
-def _binomial_inverse(k: int) -> np.ndarray:
-    """inv[j, t] = (-1)^(t-j) C(t, j) as Python ints: maps the binomial
-    moments M_0..M_k of a profile back to its entries z_0..z_k."""
-    inv = np.zeros((k + 1, k + 1), dtype=object)
-    for t in range(k + 1):
-        for j in range(t + 1):
-            inv[j, t] = (-1) ** (t - j) * comb(t, j)
-    return inv
-
-
 def _moment_dtype(b: int, k: int) -> type:
     """int32 when every moment of a b-block, block size k family fits in it:
     M_t <= b C(k, t) <= b C(k, k // 2), and so are the partial sums of the
@@ -105,27 +95,21 @@ def _moment_dtype(b: int, k: int) -> type:
 BLOCK_CELLS = 1 << 16
 
 
-def all_pairs_profiles(
-    fams: list[BlockDesign], owner: np.ndarray | None
-) -> tuple[np.ndarray, list[list[tuple[int, ...]]]]:
-    """Friendship data for every ordered pair of a family on at most 32 points.
+def constant_profiles(fams: list[BlockDesign], owner: np.ndarray | None) -> np.ndarray:
+    """Which profiles are constant, for every ordered pair of a family on at
+    most 32 points.
 
-    Returns (const, z): const[a, b] is true iff the profile of fams[a] is
-    the same against every block of fams[b], so a and b are friends iff
-    const[a, b] and const[b, a]; z[a][b] is that profile (z_0..z_{k_a})
-    against the first block of fams[b], which is phi(fams[a], fams[b]) when
-    const[a, b] holds.
+    const[a, b] is true iff the profile of fams[a] is the same against every
+    block of fams[b], so a and b are friends iff const[a, b] and const[b, a].
 
     For each family A, a superset sum gives f_A(T), the blocks of A
     containing T, and a ranked subset sum of f_A gives the binomial moments
     M_t(s) = sum over blocks a of C(|a & s|, t), for every subset s at once.
     The moments M_0..M_k map to the profile unit-triangularly, so A's
-    profile is constant over B iff each M_t is, and
-    z_j = sum over t >= j of (-1)^(t-j) C(t, j) M_t.  The moments are exact
-    in int64 (M_t <= b C(k, t) <= 2^v C(v, v/2) < 2^63 for v <= 32), and in
+    profile is constant over B iff each M_t is.  The moments are exact in
+    int64 (M_t <= b C(k, t) <= 2^v C(v, v/2) < 2^63 for v <= 32), and in
     int32, which halves the memory the transforms stream, whenever
-    b C(k, k/2) < 2^31; the inversion runs on Python ints, as its products
-    need not fit.
+    b C(k, k/2) < 2^31.
 
     The transforms run on blocks of BLOCK_CELLS >> v columns (one at
     least), each pass over all columns of a block at once: the indicators
@@ -138,8 +122,7 @@ def all_pairs_profiles(
     `owner` is power_set_owner of fams, or None.  With it, a member whose
     blocks are exactly the complements of an earlier member c's blocks
     copies row c: its blocks meet a k_b-set beta in k_b - |c & beta| points,
-    so const[a] = const[c] and z_j(a, b) = z_{k_b - j}(c, b), 0 outside c's
-    profile.
+    so its profile is c's reversed and const[a] = const[c].
     """
     v = fams[0].v
     n = len(fams)
@@ -149,7 +132,6 @@ def all_pairs_profiles(
     blocks = [np.fromiter(d.blocks, dtype=np.int64, count=d.b) for d in fams]
     order = np.concatenate(blocks)  # the blocks of each family in turn
     starts = np.cumsum([0] + [d.b for d in fams[:-1]])
-    ks = np.array([d.k for d in fams])
     source = [-1] * n  # source[a] = c when row a is copied from row c
     if owner is not None:
         for a, d in enumerate(fams):
@@ -158,8 +140,6 @@ def all_pairs_profiles(
             if c < a and fams[c].b == d.b and (partners == c).all():
                 source[a] = c
     const = np.ones((n, n), dtype=bool)
-    # moments[a][t, b] = M_t(a) at the first block of b; M_0 = b_a
-    moments = [np.full((d.k + 1, n), d.b, dtype=np.int64) for d in fams]
     direct = [a for a in range(n) if source[a] < 0 and fams[a].k > 0]
     width = max(1, BLOCK_CELLS >> v)
     for lo in range(0, len(direct), width):
@@ -170,7 +150,7 @@ def all_pairs_profiles(
             f[blocks[a], col] = 1
         subset_sums(f, v, supersets=True)
         # ranked column (a, col, t): f_a, column col of f, on the t-subsets
-        ranked = [(a, col, t) for col, a in enumerate(members) for t in range(1, ks[a] + 1)]
+        ranked = [(a, col, t) for col, a in enumerate(members) for t in range(1, fams[a].k + 1)]
         for first in range(0, len(ranked), width):
             chunk = ranked[first : first + width]
             g = np.zeros((1 << v, len(chunk)), dtype=dtype)
@@ -178,22 +158,12 @@ def all_pairs_profiles(
                 g[of_rank[t], j] = f[of_rank[t], col]
             g = subset_sums(g, v)[order]  # row i: block i of the family order
             flat = np.minimum.reduceat(g, starts) == np.maximum.reduceat(g, starts)
-            for j, (a, _, t) in enumerate(chunk):
+            for j, (a, _, _) in enumerate(chunk):
                 const[a] &= flat[:, j]
-                moments[a][t] = g[starts, j]
-    rows: list[np.ndarray] = []  # rows[a][j, b] = z_j(a, b), Python ints
-    for a, d in enumerate(fams):
-        c = source[a]
+    for a, c in enumerate(source):
         if c >= 0:
             const[a] = const[c]
-            src = ks[None, :] - np.arange(d.k + 1)[:, None]
-            inside = (src >= 0) & (src <= fams[c].k)
-            picked = np.take_along_axis(rows[c], src.clip(0, fams[c].k), axis=0)
-            rows.append(np.where(inside, picked, 0))
-        else:
-            rows.append(_binomial_inverse(d.k) @ moments[a].astype(object))
-    z = [[tuple(col) for col in row.T.tolist()] for row in rows]
-    return const, z
+    return const
 
 
 def check_count_identity(verdict: FriendshipVerdict, b1: int, b2: int) -> bool:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .designs import BlockDesign, DesignParams, design
+from .blocks import MAX_GROUND
+from .designs import BlockDesign, DesignError, DesignParams, design
 from .fields import FieldTables
 
 
@@ -27,9 +28,13 @@ def projective_plane(f: FieldTables) -> BlockDesign:
     Points are the normalized nonzero coordinate triples in lexicographic
     order, labeled 1 upward; a line is the set of points orthogonal to a
     normalized coefficient triple.  The result always validates with
-    parameters (q^2+q+1, q^2+q+1, q+1, q+1, 1).
+    parameters (q^2+q+1, q^2+q+1, q+1, q+1, 1).  A plane on more than
+    MAX_GROUND points is refused before any of it is built.
     """
     q, add, mul = f.q, f.add, f.mul
+    n = q * q + q + 1
+    if n > MAX_GROUND:
+        raise DesignError(f"ground set size {n} outside 1..{MAX_GROUND}")
     pts = _normalized_points(q)
     index = {p: i + 1 for i, p in enumerate(pts)}
     blocks = []
@@ -44,7 +49,6 @@ def projective_plane(f: FieldTables) -> BlockDesign:
         blocks.append(tuple(sorted(line)))
     blocks.sort()
     d = design(len(pts), blocks, name=f"pg2-{q}")
-    n = q * q + q + 1
     expected = DesignParams(n, n, q + 1, q + 1, 1)
     if d.params != expected:
         raise AssertionError(f"plane parameters {d.params} != {expected}")

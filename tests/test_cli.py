@@ -232,6 +232,33 @@ def test_pg_non_prime_power_hint(capsys, tmp_path):
     assert "field-tables" in err
 
 
+MALFORMED_ORDER_TABLES = {
+    "q=x": "q=x\n0 1\n1 0\n*\n0 0\n0 1\n",
+    "q=": "q=\n0 1\n1 0\n*\n0 0\n0 1\n",
+    "q=1": "q=1\n0\n*\n0\n",
+    "q=0": "q=0\n*\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ORDER_TABLES))
+def test_pg_malformed_field_order(capsys, tmp_path, case):
+    tables = tmp_path / "bad.tables"
+    tables.write_text(MALFORMED_ORDER_TABLES[case])
+    code, out, err = run(capsys, "pg", "--order", "2", "--field-tables", str(tables),
+                         "-o", str(tmp_path / "x"))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_pg_refuses_oversized_plane_before_building(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("blockfriends.planes._normalized_points",
+                        lambda q: pytest.fail("plane built before the size check"))
+    code, out, err = run(capsys, "pg", "--order", "61", "-o", str(tmp_path / "x"))
+    assert code == 2
+    assert out == "" and err == "error: ground set size 3783 outside 1..64\n"
+
+
 def test_catalog_list_and_export(capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0

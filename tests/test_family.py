@@ -12,7 +12,6 @@ from blockfriends import (
     IntersectionProfile,
     NotFriendsError,
     OrderRelation,
-    all_pairs_profiles,
     alpha,
     are_friends,
     build_family,
@@ -20,6 +19,7 @@ from blockfriends import (
     check_order_preservation,
     classify_all,
     classify_level,
+    constant_profiles,
     design,
     export_hasse,
     family,
@@ -298,19 +298,37 @@ KERNEL_FAMILIES = [fano_family, pg23_family,
 
 @pytest.mark.parametrize("make", KERNEL_FAMILIES)
 def test_kernel_pair_profiles_equal_pairwise(make):
-    """Every pair profile from the lattice kernel equals are_friends', and
-    build_family stores exactly those."""
+    """The lattice kernel shows every pair friends, and build_family stores
+    exactly the profiles of are_friends."""
     fam = make()
     members = list(fam.members)
-    const, z = all_pairs_profiles(members, power_set_owner(fam.v, members))
+    const = constant_profiles(members, power_set_owner(fam.v, members))
     assert const.all()
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             verdict = are_friends(members[i], members[j])
-            assert IntersectionProfile(z[i][j], members[j].k) == verdict.profile_1_2
-            assert IntersectionProfile(z[j][i], members[i].k) == verdict.profile_2_1
             assert fam.pair_profiles[(i, j)] == verdict.profile_1_2
             assert fam.pair_profiles[(j, i)] == verdict.profile_2_1
+
+
+PAIRWISE_FAMILIES = {
+    "fano_full5": lambda: [fano(), full_design(7, 5)],
+    "sts13_s1_non_blocks": lambda: [
+        sts13_s1(), classify_level(sts13_s1(), 3)[1].to_family("non-blocks")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRWISE_FAMILIES))
+def test_pairwise_path_stores_are_friends_profiles(case):
+    """On a family whose blocks do not partition 2^V, build_family stores
+    the profiles of are_friends, each pair in its own direction."""
+    members = PAIRWISE_FAMILIES[case]()
+    assert power_set_owner(members[0].v, members) is None
+    fam = build_family(members)
+    assert len(fam.pair_profiles) == 2
+    verdict = are_friends(fam.members[0], fam.members[1])
+    assert fam.pair_profiles[(0, 1)] == verdict.profile_1_2
+    assert fam.pair_profiles[(1, 0)] == verdict.profile_2_1
 
 
 # F1 and F2 are Fano planes sharing the blocks 123, 347 and 356.
@@ -375,8 +393,8 @@ COMPLEMENT_CASES = {
 @pytest.mark.parametrize("case", sorted(COMPLEMENT_CASES))
 def test_complement_rows_equal_direct_rows(monkeypatch, case):
     """Rows copied from a complement partner equal the rows the lattice
-    passes give when nothing is copied, for const and for every profile,
-    and copying transforms fewer lattice columns."""
+    passes give when nothing is copied, and copying transforms fewer
+    lattice columns."""
     fams = COMPLEMENT_CASES[case]()
     columns = []
     real = friendship_mod.subset_sums
@@ -386,25 +404,23 @@ def test_complement_rows_equal_direct_rows(monkeypatch, case):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(friendship_mod, "subset_sums", counted)
-    const, z = all_pairs_profiles(fams, power_set_owner(fams[0].v, fams))
+    const = constant_profiles(fams, power_set_owner(fams[0].v, fams))
     copied = sum(columns)
     columns.clear()
-    const_direct, z_direct = all_pairs_profiles(fams, None)
+    const_direct = constant_profiles(fams, None)
     assert copied < sum(columns)
     assert (const == const_direct).all()
-    assert z == z_direct
 
 
 def test_int32_moments_equal_int64_moments(monkeypatch):
     """Every transform of the PG(2,3) subdivision runs in int32, and forcing
-    int64 gives the same const and z."""
+    int64 gives the same const."""
     fams = COMPLEMENT_CASES["pg23"]()
     assert {friendship_mod._moment_dtype(d.b, d.k) for d in fams} == {np.int32}
-    const, z = all_pairs_profiles(fams, None)
+    const = constant_profiles(fams, None)
     monkeypatch.setattr(friendship_mod, "_moment_dtype", lambda b, k: np.int64)
-    const_wide, z_wide = all_pairs_profiles(fams, None)
+    const_wide = constant_profiles(fams, None)
     assert (const == const_wide).all()
-    assert z == z_wide
 
 
 BLOCK_CASES = {
@@ -418,23 +434,22 @@ BLOCK_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_block_size_does_not_change_results(monkeypatch, case):
-    """Blocks of one, two or three columns give the const and z of the
-    default blocks, with rows copied or not.  Two- and three-column blocks
+    """Blocks of one, two or three columns give the const of the default
+    blocks, with rows copied or not.  Two- and three-column blocks
     end inside the ranked columns of a member; with int32 and int64 members
     mixed, the blocks holding both run in int64."""
     fams = BLOCK_CASES[case]()
     v = fams[0].v
     for owner in (power_set_owner(v, fams), None):
-        const, z = all_pairs_profiles(fams, owner)
+        const = constant_profiles(fams, owner)
         for columns, mixed in ((1, False), (2, False), (3, False), (3, True)):
             with monkeypatch.context() as m:
                 m.setattr(friendship_mod, "BLOCK_CELLS", columns << v)
                 if mixed:
                     m.setattr(friendship_mod, "_moment_dtype",
                               lambda b, k: np.int64 if k % 2 else np.int32)
-                const_blocked, z_blocked = all_pairs_profiles(fams, owner)
+                const_blocked = constant_profiles(fams, owner)
             assert (const_blocked == const).all()
-            assert z_blocked == z
 
 
 @pytest.mark.parametrize("b, k, dtype", [

@@ -63,6 +63,13 @@ def test_malformed_table_files():
         load_field_tables("q=2\n0 1\n1 0\n*\n0 0\n")
     with pytest.raises(FieldError, match="non-integer"):
         load_field_tables("q=2\n0 x\n1 0\n*\n0 0\n0 1\n")
+    for q_line in ("q=x", "q="):
+        with pytest.raises(FieldError, match=f"line 2: non-integer order in '{q_line}'"):
+            load_field_tables(f"# order\n{q_line}\n0 1\n1 0\n*\n0 0\n0 1\n")
+    with pytest.raises(FieldError, match="order 1 below 2"):
+        load_field_tables("q=1\n0\n*\n0\n")
+    with pytest.raises(FieldError, match="order 0 below 2"):
+        load_field_tables("q=0\n*\n")
 
 
 def test_broken_axiom_witnesses():
