@@ -61,14 +61,13 @@ class Subdivision:
 
 
 def _key_weights(b: int, k: int) -> np.ndarray:
-    """Weights that turn a row of intersection sizes into an exact sort key.
+    """Weights that turn a profile row into an exact sort key.
 
     Row w packs the profile entries z_{wc}..z_{wc+c-1} in base b+1, the lowest
     index most significant, where c is the most base-(b+1) digits an int64
-    holds.  Summing W[w, sizes] over a row's blocks gives word w of its key;
-    the words compared in turn order rows exactly as their signatures
-    (z_0..z_k).  Small parents need one word; PG(2,4) packs all six entries
-    into 22^6.
+    holds.  Word w of a row's key is W[w] · (z_0..z_k); the words compared
+    in turn order rows exactly as their signatures.  Small parents need one
+    word; PG(2,4) packs all six entries into 22^6.
     """
     c = 1
     while c <= k and (b + 1) ** (c + 1) <= 2**63:
@@ -104,7 +103,7 @@ def classify_level(
     step = max(1, CHUNK_CELLS // parent.b)
     for lo in range(0, subs.size, step):
         sizes = intersection_sizes(subs[lo : lo + step], blocks)
-        keys[:, lo : lo + step] = weights[:, sizes].sum(axis=2)
+        keys[:, lo : lo + step] = weights @ profile_rows(sizes, parent.k).T
     order = np.lexsort(keys[::-1])  # stable: members stay in enumeration order
     ordered = keys[:, order]
     starts = np.flatnonzero(

@@ -264,8 +264,6 @@ def cmd_classify(args) -> int:
 def cmd_poset(args) -> int:
     members = [_load(p) for p in args.files]
     if args.add_degenerate:
-        if not members:
-            raise DesignError("--add-degenerate needs at least one design file")
         v = members[0].v
         for extra in (full_design(v, 0), full_design(v, v)):
             if extra not in members:

@@ -19,7 +19,6 @@ from .blocks import (
     format_block,
     full_mask,
     labels_from_mask,
-    later_copies,
     MAX_GROUND,
     subsets_of_size,
 )
@@ -97,46 +96,30 @@ class BlockDesign:
         return f"BlockDesign(v={self.v}, {tag}, params={self.params})"
 
 
-def _first_invalid(masks, v: int) -> int:
-    """Index of the first mask that is negative, reaches past element v or
-    repeats an earlier mask; len(masks) if there is none."""
-    try:
-        arr = np.array(masks, dtype=np.uint64)
-        bad = arr >> np.uint64(v) != 0
-    except OverflowError:  # a negative mask, or one of 64 bits or more
-        obj = np.array(masks, dtype=object)
-        bad = (obj < 0) | (obj >> v != 0)
-        arr = np.where(bad, 0, obj).astype(np.uint64)
-    bad |= later_copies(arr)
-    return int(np.argmax(bad)) if bad.any() else len(masks)
-
-
 def _normalize_blocks(blocks: Iterable, v: int) -> tuple[int, ...]:
     """The blocks as a tuple of masks, checked in input order: the first
     block that is out of range, has bad labels or repeats an earlier block
-    raises.  Int masks are checked in bulk; label iterables are converted
-    in order up to the first bad one."""
+    raises.  Distinct int masks of subsets of 1..v, as a parsed file gives
+    them, are returned as they are."""
     if not 1 <= v <= MAX_GROUND:
         raise DesignError(f"ground set size {v} outside 1..{MAX_GROUND}")
     masks = tuple(blocks)
-    pending = None
-    if not all(map(isinstance, masks, repeat(int))):
-        converted: list[int] = []
-        try:
-            # list.extend keeps the masks converted before a failing block
-            converted.extend(map(as_mask, masks, repeat(v)))
-        except ValueError as exc:
-            pending = exc
-        masks = tuple(converted)
-    i = _first_invalid(masks, v)
-    if i < len(masks):
-        as_mask(masks[i], v)  # raises first if the mask is out of range
-        raise DesignError(f"duplicate block {format_block(masks[i])}")
-    if pending is not None:
-        raise pending
     if not masks:
         raise DesignError("a block family needs at least one block")
-    return masks
+    if (
+        all(map(isinstance, masks, repeat(int)))
+        and min(masks) >= 0
+        and not max(masks) >> v
+        and len(set(masks)) == len(masks)
+    ):
+        return masks
+    seen: dict[int, None] = {}  # keeps the masks in input order
+    for block in masks:
+        m = as_mask(block, v)
+        if m in seen:
+            raise DesignError(f"duplicate block {format_block(m)}")
+        seen[m] = None
+    return tuple(seen)
 
 
 def detect_design(blocks, v: int) -> tuple[Optional[DesignParams], str]:

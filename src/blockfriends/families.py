@@ -39,6 +39,18 @@ class FriendlyFamily:
         """power_set_owner of the members, built on first use."""
         return power_set_owner(self.v, self.members)
 
+    @cached_property
+    def below(self) -> np.ndarray:
+        """below[i, j] is true iff member i sits strictly below member j:
+        k_i < k_j and z_{k_i} of phi(members[i], members[j]) is positive."""
+        ks = [d.k for d in self.members]
+        n = len(ks)
+        phi = self.pair_profiles
+        return np.array(
+            [[ks[i] < ks[j] and phi[(i, j)].z[ks[i]] > 0 for j in range(n)] for i in range(n)],
+            dtype=bool,
+        )
+
 
 def _canonical_key(d: BlockDesign) -> tuple[int, bytes]:
     """Block size, then the sorted block label tuples; as labels are at most
@@ -107,23 +119,7 @@ def less_than(f: FriendlyFamily, i: int, j: int) -> bool:
     n = len(f.members)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"member index out of range 0..{n - 1}")
-    ki, kj = f.members[i].k, f.members[j].k
-    if ki >= kj:
-        return False
-    return f.pair_profiles[(i, j)].z[ki] > 0
-
-
-def order_matrix(f: FriendlyFamily) -> np.ndarray:
-    """below[i, j] is true iff member i sits strictly below member j."""
-    ks = [d.k for d in f.members]
-    n = len(ks)
-    return np.array(
-        [
-            [ks[i] < ks[j] and f.pair_profiles[(i, j)].z[ks[i]] > 0 for j in range(n)]
-            for i in range(n)
-        ],
-        dtype=bool,
-    )
+    return bool(f.below[i, j])
 
 
 def _pairs(m: np.ndarray) -> frozenset:
@@ -142,7 +138,7 @@ class OrderRelation:
 
 def order_relation(f: FriendlyFamily) -> OrderRelation:
     """All ordered pairs of the family order, with transitivity checked, not assumed."""
-    below = order_matrix(f)
+    below = f.below
     reach = below.copy()
     for x in range(len(reach)):  # Warshall: admit x as an intermediate member
         reach |= np.outer(reach[:, x], reach[x])
@@ -207,7 +203,7 @@ def check_order_preservation(f: FriendlyFamily) -> bool:
     below[cells, byte] = bit
     subset_sums(below, f.v, np.bitwise_or)
     below[cells, byte] &= ~bit
-    lower = np.packbits(order_matrix(f).T, axis=1, bitorder="little")
+    lower = np.packbits(f.below.T, axis=1, bitorder="little")
     return not (below & ~lower[owner]).any()
 
 
@@ -236,7 +232,9 @@ def export_hasse(rel: OrderRelation) -> str:
             desc = f"({p.v},{p.b},{p.r},{p.k},{p.lam})"
         else:
             desc = "(degenerate)" if d.is_degenerate else "(raw family)"
-        lines.append(f'  n{i} [label="{f.member_label(i)} {desc}"];')
+        label = f"{f.member_label(i)} {desc}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')  # DOT string escapes
+        lines.append(f'  n{i} [label="{label}"];')
     for (i, j) in covering:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

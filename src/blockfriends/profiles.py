@@ -29,10 +29,6 @@ class IntersectionProfile:
     m: int
 
     @property
-    def total(self) -> int:
-        return sum(self.z)
-
-    @property
     def k(self) -> int:
         return len(self.z) - 1
 
@@ -55,16 +51,17 @@ def profile_rows(sizes: np.ndarray, k: int) -> np.ndarray:
     """Row i holds (z_0, ..., z_k): how many entries of sizes[i] equal each j.
 
     With sizes = intersection_sizes(probes, blocks) and k the block size,
-    row i is the profile of the blocks against probes[i].
+    row i is the profile of the blocks against probes[i].  Every entry must
+    lie in 0..k: one bincount counts an entry s of row i at cell i*(k+1) + s.
     """
-    return np.stack([(sizes == j).sum(axis=1) for j in range(k + 1)], axis=1)
+    n = len(sizes)
+    cells = np.arange(n)[:, None] * (k + 1) + sizes
+    return np.bincount(cells.ravel(), minlength=n * (k + 1)).reshape(n, k + 1)
 
 
 def profile(d: BlockDesign, probe) -> IntersectionProfile:
     """Count the blocks of d by the size of their intersection with the probe set."""
     m = as_mask(probe, d.v)
-    if m >> d.v:
-        raise DesignError(f"probe not within ground set of size {d.v}")
     z = profile_rows(intersection_sizes([m], d.blocks), d.k)[0]
     return IntersectionProfile(tuple(int(x) for x in z), m.bit_count())
 

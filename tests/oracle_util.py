@@ -203,3 +203,34 @@ def brute_family_order(designs):
             if members[i] == members[j]:
                 return members, f"duplicate member {members[i].name or i}"
     return members, None
+
+
+class BruteBlockError(ValueError):
+    """An error of the block list as a whole (ground-set size, duplicate
+    block, no blocks), which the package raises as DesignError."""
+
+
+def brute_blocks(blocks, v):
+    """The masks of a block list, checked one block at a time in input
+    order: an int is a mask, anything else an iterable of labels.  The
+    first block out of range, with a bad or repeated label, or equal to an
+    earlier block raises there; a block of the wrong type raises TypeError
+    when it is reached."""
+    if not 1 <= v <= 64:
+        raise BruteBlockError(f"ground set size {v} outside 1..64")
+    masks = []
+    for blk in blocks:
+        if isinstance(blk, int):
+            if blk < 0 or blk >= 1 << v:
+                raise ValueError(f"mask {blk:#x} not within ground set of size {v}")
+            m = blk
+        else:
+            m = _brute_mask(blk, v)
+        if m in masks:
+            raise BruteBlockError(
+                "duplicate block {" + ",".join(map(str, brute_labels(v, m))) + "}"
+            )
+        masks.append(m)
+    if not masks:
+        raise BruteBlockError("a block family needs at least one block")
+    return tuple(masks)

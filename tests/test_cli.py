@@ -356,3 +356,64 @@ def test_non_utf8_field_tables_names_the_file(capsys, tmp_path):
                          "-o", str(tmp_path / "pg3.design"))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "tables.bin" in err
+
+
+@pytest.mark.parametrize("stem, label", [('fa"no', 'fa\\"no'), ("fa\\no", "fa\\\\no")])
+def test_poset_dot_escapes_member_names(capsys, tmp_path, stem, label):
+    path = tmp_path / f"{stem}.design"
+    assert run(capsys, "catalog", "export", "fano", "-o", str(path))[0] == 0
+    code, out, _ = run(capsys, "poset", str(path), "--add-degenerate", "--dot", "-")
+    assert code == 0
+    assert f'  n1 [label="{label} (7,7,3,3,1)"];' in out.splitlines()
+
+
+def test_poset_check_alpha_without_a_partition(capsys, fano_file, d5_file):
+    code, out, _ = run(capsys, "poset", fano_file, d5_file, "--check-alpha")
+    assert code == 1
+    assert out.splitlines()[-1] == "alpha hypotheses: FAILED"
+
+
+GF3_TABLES = "q=3\n0 1 2\n1 2 0\n2 0 1\n*\n0 0 0\n0 1 2\n0 2 1\n"
+
+
+def test_pg_field_tables_of_another_order(capsys, tmp_path):
+    tables = tmp_path / "gf3.tables"
+    tables.write_text(GF3_TABLES)
+    out_file = tmp_path / "x"
+    code, out, err = run(capsys, "pg", "--order", "2", "--field-tables", str(tables),
+                         "-o", str(out_file))
+    assert (code, out, err) == (2, "", "error: table file has q=3, asked for 2\n")
+    assert not out_file.exists()
+    code, _, _ = run(capsys, "pg", "--order", "3", "--field-tables", str(tables),
+                     "-o", str(out_file))
+    assert code == 0 and load_design(out_file.read_text()).v == 13
+
+
+@pytest.fixture
+def raw_file(capsys, tmp_path, s1_file):
+    """An emitted STS(13) level-6 class: a raw family that is not its own friend."""
+    outdir = tmp_path / "level6"
+    assert run(capsys, "classify", s1_file, "-n", "6", "--emit-classes", str(outdir))[0] == 0
+    return str(outdir / "sts13_s1-n6-class2.design")
+
+
+def test_family_flag_loads_a_raw_family(capsys, raw_file):
+    code, out, err = run(capsys, "friends", raw_file, raw_file)
+    assert (code, out) == (2, "") and err.startswith("error: not a block design: ")
+    code, out, _ = run(capsys, "friends", "--family", raw_file, raw_file)
+    assert code == 1 and out.startswith("friends: no\n")
+    code, out, _ = run(capsys, "profile", "--family", raw_file, "--set", "1,2,3")
+    assert code == 0 and out.splitlines()[0].endswith("raw family)")
+    code, out, _ = run(capsys, "classify", "--family", raw_file, "-n", "2")
+    assert code == 0 and "raw family" in out.splitlines()[0]
+
+
+def test_classify_counts_only(capsys, tmp_path, fano_file):
+    outdir = tmp_path / "classes"
+    code, out, _ = run(capsys, "classify", fano_file, "--all", "--counts-only",
+                       "--emit-classes", str(outdir))
+    assert code == 0 and "members not retained" in out
+    assert out.splitlines()[-1] == f"wrote 0 class files to {outdir}"
+    assert not list(outdir.glob("*"))
+    code, out, err = run(capsys, "classify", fano_file, "-n", "3", "--counts-only", "--report")
+    assert (code, out, err) == (2, "", "error: class members were not retained\n")

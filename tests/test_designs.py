@@ -2,6 +2,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from blockfriends import (
     DesignError,
@@ -20,7 +21,7 @@ from blockfriends import (
     subsets_of_size,
     whole_design,
 )
-from oracle_util import brute_detect, labels
+from oracle_util import BruteBlockError, brute_blocks, brute_detect, brute_labels, labels
 
 
 def test_admissible_examples():
@@ -152,3 +153,115 @@ def test_equality_ignores_order_and_name():
                    (2, 6, 7), (3, 4, 6), (4, 5, 7)], name="y")
     assert a == b and hash(a) == hash(b)
     assert a != full_design(7, 3)
+
+
+def test_design_block_size_witness():
+    with pytest.raises(DesignError) as exc:
+        design(7, [(1, 2, 3), (1, 2)])
+    assert str(exc.value) == (
+        "not a block design: block {1,2} has 2 elements, block {1,2,3} has 3"
+    )
+
+
+def _outcome(fn, *args):
+    """("ok", result), ("TypeError",) or (exception type name, message)."""
+    try:
+        return "ok", fn(*args)
+    except TypeError:
+        return ("TypeError",)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _check_block_list(v, blocks):
+    """design, family and detect_design agree with the in-order oracle:
+    the same first error, or the oracle's masks with the oracle's verdict."""
+    try:
+        masks = brute_blocks(blocks, v)
+    except TypeError:
+        expected = ("TypeError",)
+    except BruteBlockError as exc:
+        expected = ("DesignError", str(exc))
+    except ValueError as exc:
+        expected = ("ValueError", str(exc))
+    else:
+        expected = None
+    if expected is not None:
+        assert _outcome(design, v, blocks) == expected
+        assert _outcome(family, v, blocks) == expected
+        assert _outcome(detect_design, blocks, v) == expected
+        return
+    rows = [brute_labels(v, m) for m in masks]
+    params = brute_detect(rows, v)
+    assert detect_design(blocks, v)[0] == params
+    kind, fam = _outcome(family, v, blocks)
+    if len({len(r) for r in rows}) == 1:
+        assert kind == "ok" and fam.blocks == masks and fam.params == params
+    else:
+        assert kind == "DesignError" and fam.startswith("block sizes differ")
+    kind, d = _outcome(design, v, blocks)
+    if params is not None or masks == (0,):
+        assert kind == "ok" and d.blocks == masks and d.params == params
+    else:
+        assert kind == "DesignError" and d.startswith("not a block design: ")
+
+
+@st.composite
+def block_lists(draw):
+    """A ground-set size and a list of blocks: int masks (in range, negative,
+    of 64 bits or more, above v), label tuples (label 0, above v, repeated
+    labels), wrongly typed blocks, and copies of earlier blocks, given as
+    they were or as labels."""
+    v = draw(st.sampled_from([1, 2, 3, 5, 7, 13, 64]))
+    clean = st.one_of(
+        st.integers(0, (1 << v) - 1),
+        st.sets(st.integers(1, v), max_size=min(v, 6)).map(lambda s: tuple(sorted(s))),
+    )
+    bad = st.one_of(
+        st.integers(-(1 << 65), -1),
+        st.integers(1 << 64, 1 << 66),
+        st.integers(1 << v, 1 << (v + 2)),
+        st.lists(st.integers(0, v + 3), max_size=min(v, 6) + 1).map(tuple),
+        st.sampled_from([None, 1.5, "12", (1, 2.5)]),
+    )
+    blocks = draw(st.lists(clean if draw(st.booleans()) else st.one_of(clean, bad), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        if blocks:
+            i = draw(st.integers(0, len(blocks) - 1))
+            copy = blocks[i]
+            if isinstance(copy, int) and 0 <= copy < 1 << v and draw(st.booleans()):
+                copy = brute_labels(v, copy)
+            blocks.insert(draw(st.integers(i + 1, len(blocks))), copy)
+    return v, blocks
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(block_lists())
+def test_block_check_matches_in_order_oracle(case):
+    _check_block_list(*case)
+
+
+@pytest.mark.parametrize("v, blocks", [
+    (3, [1, 2, 4]),  # distinct masks within 1..v are returned as given
+    (1, [0]),
+    (64, [(1 << 64) - 1, 1]),
+    (7, [(1, 2, 3), 6, (4, 5, 6)]),
+    (7, []),
+    (0, [1]),
+    (65, [1]),
+    (3, [1, 2, 1]),
+    (3, [1, -1]),
+    (3, [1, 8]),
+    (64, [1 << 64]),
+    (3, [(1, 2), 3]),  # the same block as labels, then as a mask
+    (3, [(0, 1)]),
+    (3, [(1, 4)]),
+    (3, [(2, 2)]),
+    (3, [(1, 2), (1, 2), None]),  # the duplicate comes first
+    (3, [None, (1, 2), (1, 2)]),
+    (3, [(1, 2), 1.5]),
+])
+def test_block_check_examples(v, blocks):
+    _check_block_list(v, blocks)
+

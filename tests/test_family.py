@@ -38,7 +38,7 @@ from blockfriends import (
 )
 from blockfriends import families as families_mod
 from blockfriends import friendship as friendship_mod
-from blockfriends.families import order_matrix, power_set_owner
+from blockfriends.families import power_set_owner
 from oracle_util import (
     brute_closure,
     brute_order_preservation,
@@ -494,7 +494,7 @@ def test_order_relation_matches_less_than(fam):
     pairs = {(i, j) for i in range(n) for j in range(n) if less_than(fam, i, j)}
     closure = brute_closure(n, pairs)
     rel = order_relation(fam)
-    assert order_matrix(fam).tolist() == [
+    assert fam.below.tolist() == [
         [(i, j) in pairs for j in range(n)] for i in range(n)]
     assert rel.pairs == pairs
     assert rel.closure == closure

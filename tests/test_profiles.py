@@ -22,6 +22,7 @@ from blockfriends import (
     sts13_s2,
     theoretical_self_profile,
 )
+from blockfriends.profiles import intersection_sizes, profile_rows
 from oracle_util import brute_profile, labels
 
 
@@ -140,3 +141,19 @@ def test_display_trims_trailing_entries():
     p = IntersectionProfile((5, 2, 0, 0, 0, 0), 2)
     assert p.display == (5, 2, 0)
     assert str(p) == "(5,2,0)"
+
+
+@pytest.mark.parametrize("n, b, k", [(0, 5, 3), (0, 1, 0), (1, 1, 0), (4, 6, 0),
+                                     (3, 7, 1), (32, 1000, 6), (5, 3, 10)])
+def test_profile_rows_equals_one_pass_per_size(n, b, k):
+    sizes = np.random.default_rng(n * 1000 + b + k).integers(0, k + 1, (n, b), dtype=np.uint8)
+    passes = np.stack([(sizes == j).sum(axis=1) for j in range(k + 1)], axis=1)
+    rows = profile_rows(sizes, k)
+    assert rows.shape == (n, k + 1) and rows.dtype == passes.dtype
+    assert (rows == passes).all()
+
+
+def test_profile_rows_of_no_probes():
+    d = fano()
+    rows = profile_rows(intersection_sizes([], d.blocks), d.k)
+    assert rows.shape == (0, d.k + 1)
