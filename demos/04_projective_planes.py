@@ -3,8 +3,8 @@
 Builds the planes of orders 2, 3, 4 (the last from bundled GF(4) tables),
 verifies that the order-3 plane's power-set classes form a friendly family
 of designs, and times the 2^21-subset sweep for the order-4 plane (a median
-0.20 s on 2 cores: the `wall_s` of
-`python3 perfbench/run.py --workload sweep-pg24`).
+0.26 s at a median peak RSS of 52 MB on 2 cores: the `wall_s` and
+`peak_rss_mb` of `python3 perfbench/run.py --workload sweep-pg24`).
 """
 
 import time

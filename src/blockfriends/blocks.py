@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -80,23 +81,64 @@ def format_block(mask: int) -> str:
     return "{" + ",".join(str(x) for x in labels_from_mask(mask)) + "}"
 
 
-def level_masks(v: int, n: int) -> np.ndarray:
-    """Every n-subset of {1..v} as a uint64 mask, in lexicographic order of
-    label tuples (not ascending mask order: {1,4} precedes {2,3}).
+def _complete(v: int, masks: np.ndarray, top: np.ndarray, r: int) -> np.ndarray:
+    """Every completion of each prefix by r more elements above its largest
+    element top (-1 for the empty prefix), prefixes in the given order and
+    each prefix's completions in lexicographic order of label tuples.
 
-    Built by prefix extension (Knuth, TAOCP 4A, 7.2.1.3): step i repeats each
-    prefix once per admissible next element, from one above its largest
-    element up to v-n+i, so every prefix built can still be completed and no
-    step holds more than C(v,n) masks.
+    Prefix extension (Knuth, TAOCP 4A, 7.2.1.3): step i repeats each prefix
+    once per admissible next element, from one above its largest element up
+    to v-r+i, so every prefix built can still be completed and no step holds
+    more masks than the result.
     """
-    masks = np.zeros(1 if 0 <= n <= v else 0, dtype=np.uint64)
-    top = np.full(masks.size, -1, dtype=np.int64)  # largest element of each prefix
-    for i in range(n):
-        reps = (v - n + i) - top
+    for i in range(r):
+        reps = (v - r + i) - top
         first = np.repeat(np.cumsum(reps) - reps, reps)
         top = np.repeat(top, reps) + 1 + (np.arange(first.size) - first)
         masks = np.repeat(masks, reps) | (np.uint64(1) << top.astype(np.uint64))
     return masks
+
+
+def _chunks(v: int, prefix: int, top: int, r: int, limit: int) -> Iterator[np.ndarray]:
+    """level_chunks below one prefix: its completions by r more elements."""
+    if comb(v - 1 - top, r) <= limit:
+        yield _complete(v, np.array([prefix], dtype=np.uint64), np.array([top]), r)
+        return
+    # the next element a splits the range into C(v-1-a, r-1) completions
+    # each, falling as a rises: the large ones are split again, and runs of
+    # small siblings share a piece so that pieces stay few
+    a = top + 1
+    while comb(v - 1 - a, r - 1) > limit:
+        yield from _chunks(v, prefix | 1 << a, a, r - 1, limit)
+        a += 1
+    while a <= v - r:
+        end, total = a, 0
+        while end <= v - r and total + comb(v - 1 - end, r - 1) <= limit:
+            total += comb(v - 1 - end, r - 1)
+            end += 1
+        heads = np.arange(a, end)
+        masks = np.uint64(prefix) | np.uint64(1) << heads.astype(np.uint64)
+        yield _complete(v, masks, heads, r - 1)
+        a = end
+
+
+def level_chunks(v: int, n: int, limit: int) -> Iterator[np.ndarray]:
+    """Every n-subset of {1..v} as uint64 masks in lexicographic order of
+    label tuples, yielded in consecutive pieces of at most `limit` masks.
+
+    Pieces are the completions of a fixed prefix, or of a run of sibling
+    prefixes; a prefix with more than `limit` completions is split by its
+    next element in turn, so the state held is one prefix per depth.
+    """
+    if 0 <= n <= v:
+        yield from _chunks(v, 0, -1, n, limit)
+
+
+def level_masks(v: int, n: int) -> np.ndarray:
+    """Every n-subset of {1..v} as a uint64 mask, in lexicographic order of
+    label tuples (not ascending mask order: {1,4} precedes {2,3}): the
+    pieces of level_chunks joined, which with no limit is one piece."""
+    return next(level_chunks(v, n, 1 << 64), np.zeros(0, dtype=np.uint64))
 
 
 def subsets_of_size(v: int, n: int) -> Iterator[int]:

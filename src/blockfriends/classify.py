@@ -14,13 +14,17 @@ from math import comb
 
 import numpy as np
 
-from .blocks import full_mask, level_masks
+from .blocks import full_mask, level_chunks
 from .designs import BlockDesign, DesignError, DesignParams, complement_params, detect_params
 from .families import power_set_owner
 from .friendship import are_friends, constant_profiles
 from .profiles import IntersectionProfile, intersection_sizes, profile_rows
 
 SWEEP_LIMIT = 24
+# a counts-only sweep holds one chunk and the class table, not the level, so
+# it takes levels of up to 2^COUNTS_ONLY_LIMIT subsets and classify_all takes
+# v up to COUNTS_ONLY_LIMIT, which reaches PG(2,5)
+COUNTS_ONLY_LIMIT = 31
 # intersection-matrix cells per chunk of classify_level (about 2 MB of uint64)
 CHUNK_CELLS = 1 << 18
 
@@ -78,49 +82,71 @@ def _key_weights(b: int, k: int) -> np.ndarray:
     return w
 
 
+def _sweep_limit(keep_members: bool) -> tuple[int, str]:
+    """The bound that applies to a sweep, and its name in refusals."""
+    if keep_members:
+        return SWEEP_LIMIT, "sweep limit"
+    return COUNTS_ONLY_LIMIT, "counts-only sweep limit"
+
+
 def classify_level(
     parent: BlockDesign, n: int, keep_members: bool = True
 ) -> tuple[SubsetClass, ...]:
     """Group all n-subsets of the ground set by profile against the parent.
 
     Classes come back sorted by signature; members within a class keep the
-    lexicographic enumeration order.  The intersection matrix is built
-    CHUNK_CELLS cells at a time, so its memory does not grow with the level.
-    Levels of more than 2^SWEEP_LIMIT subsets are refused before any work.
+    lexicographic enumeration order.  The level is walked in lexicographic
+    pieces of CHUNK_CELLS // b subsets (level_chunks).  Each piece is grouped
+    by one stable sort and merged into a table holding, per class, its key,
+    count and first member, plus its members when they are kept.  Counts-only
+    memory is therefore one piece (about CHUNK_CELLS intersection cells) plus
+    the table, whatever the level size; with members kept, the members are
+    all that grows.  Levels of more than 2^SWEEP_LIMIT subsets, or
+    2^COUNTS_ONLY_LIMIT counts-only, are refused before any work.
     """
     v = parent.v
     if not 0 <= n <= v:
         raise DesignError(f"subset size {n} outside 0..{v}")
-    if comb(v, n) > 1 << SWEEP_LIMIT:
+    limit, name = _sweep_limit(keep_members)
+    if comb(v, n) > 1 << limit:
         raise DesignError(
-            f"level n={n} has C({v},{n}) = {comb(v, n)} subsets, "
-            f"above the sweep limit 2^{SWEEP_LIMIT}"
+            f"level n={n} has C({v},{n}) = {comb(v, n)} subsets, above the {name} 2^{limit}"
         )
-    subs = level_masks(v, n)
     weights = _key_weights(parent.b, parent.k)
     blocks = np.asarray(parent.blocks, dtype=np.uint64)
-    keys = np.empty((len(weights), subs.size), dtype=np.int64)
-    step = max(1, CHUNK_CELLS // parent.b)
-    for lo in range(0, subs.size, step):
-        sizes = intersection_sizes(subs[lo : lo + step], blocks)
-        keys[:, lo : lo + step] = weights @ profile_rows(sizes, parent.k).T
-    order = np.lexsort(keys[::-1])  # stable: members stay in enumeration order
-    ordered = keys[:, order]
-    starts = np.flatnonzero(
-        np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
-    )
-    ends = np.r_[starts[1:], subs.size]
-    firsts = subs[order[starts]]
+    table: dict[tuple[int, ...], list] = {}  # key words -> [count, first, members]
+    for subs in level_chunks(v, n, max(1, CHUNK_CELLS // parent.b)):
+        keys = weights @ profile_rows(intersection_sizes(subs, blocks), parent.k).T
+        order = np.lexsort(keys[::-1])  # stable: members stay in enumeration order
+        ordered = keys[:, order]
+        starts = np.flatnonzero(
+            np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
+        )
+        ends = np.r_[starts[1:], subs.size]
+        firsts = subs[order[starts]].tolist()
+        if keep_members:
+            subs = subs[order]
+        for key, first, lo, hi in zip(
+            map(tuple, ordered[:, starts].T.tolist()), firsts, starts.tolist(), ends.tolist()
+        ):
+            entry = table.get(key)
+            if entry is None:
+                entry = table[key] = [0, first, []]
+            entry[0] += hi - lo
+            if keep_members:
+                entry[2] += subs[lo:hi].tolist()
+    rows = [table[key] for key in sorted(table)]  # key order is signature order
+    firsts = np.array([first for _, first, _ in rows], dtype=np.uint64)
     sigs = profile_rows(intersection_sizes(firsts, blocks), parent.k)
     classes = []
-    for sig_row, lo, hi in zip(sigs.tolist(), starts.tolist(), ends.tolist()):
+    for sig_row, (size, _, members) in zip(sigs.tolist(), rows):
         sig = IntersectionProfile(tuple(sig_row), n)
         if keep_members:
-            members = tuple(subs[order[lo:hi]].tolist())
+            members = tuple(members)
             params, witness = detect_params(members, v)
         else:
             members, (params, witness) = None, (None, "members not retained")
-        classes.append(SubsetClass(v, n, sig, hi - lo, members, params, witness))
+        classes.append(SubsetClass(v, n, sig, size, members, params, witness))
     return tuple(classes)
 
 
@@ -157,13 +183,13 @@ def classify_all(
     complement.
 
     `threads` is accepted for compatibility and has no effect on the work
-    done or the results.
+    done or the results.  Parents on more than SWEEP_LIMIT points, or
+    COUNTS_ONLY_LIMIT counts-only, are refused before any work.
     """
     v = parent.v
-    if v > SWEEP_LIMIT:
-        raise DesignError(
-            f"v={v} exceeds sweep limit {SWEEP_LIMIT}; classify levels one at a time"
-        )
+    limit, name = _sweep_limit(keep_members)
+    if v > limit:
+        raise DesignError(f"v={v} exceeds {name} {limit}; classify levels one at a time")
     levels = [classify_level(parent, n, keep_members) for n in range(v // 2 + 1)]
     for n in range(v // 2 + 1, v + 1):
         levels.append(_derive_complement_level(levels[v - n], v))

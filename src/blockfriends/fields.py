@@ -73,11 +73,16 @@ def _is_prime(p: int) -> bool:
 
 
 def prime_field(p: int) -> FieldTables:
-    """Arithmetic mod p; p must be prime and at most 61."""
+    """Arithmetic mod p; p must be prime and at most 61.
+
+    The cap bounds the two p x p tables built here, to at most 61^2 entries
+    each; it is not the plane limit, which projective_plane enforces on its
+    own (q <= 7, for at most 64 points).
+    """
     if not _is_prime(p):
         raise FieldError(f"{p} is not prime; load explicit tables instead")
     if p > 61:
-        raise FieldError(f"order {p} too large: the plane would not fit in 64 points")
+        raise FieldError(f"order {p} too large: prime field tables stop at p = 61")
     t = FieldTables(
         p,
         tuple(tuple((a + b) % p for b in range(p)) for a in range(p)),

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from importlib import resources
 from math import comb
 
 import pytest
@@ -20,6 +22,7 @@ from blockfriends import (
     fano_family_members,
     full_design,
     labels_from_mask,
+    load_field_tables,
     nine_point_design,
     non_fano_triples,
     prime_field,
@@ -30,6 +33,9 @@ from blockfriends import (
     theorem_k4_classes,
 )
 from oracle_util import brute_classify, labels
+
+PG24 = projective_plane(load_field_tables(
+    resources.files("blockfriends.data").joinpath("gf4.tables").read_text()))
 
 
 def sizes(classes):
@@ -310,6 +316,52 @@ def test_classify_level_matches_oracle(parent, data, chunk_cells):
         mp.setattr(classify_mod, "CHUNK_CELLS", chunk_cells)
         got = classify_level(parent, n)
     assert _as_oracle(got) == _oracle(parent, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(parents(), st.data(), st.integers(min_value=1, max_value=60))
+def test_counts_only_level_matches_oracle(parent, data, chunk_cells):
+    """Counts-only classes, merged across chunk edges that fall inside
+    classes, have the oracle's signatures and sizes."""
+    n = data.draw(st.integers(min_value=0, max_value=parent.v))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_mod, "CHUNK_CELLS", chunk_cells)
+        got = classify_level(parent, n, keep_members=False)
+    assert all(c.members is None for c in got)
+    assert [(c.signature.z, c.size) for c in got] == [
+        (sig, size) for sig, size, _ in _oracle(parent, n)]
+
+
+@pytest.mark.parametrize("parent, n", [
+    (PG24, 4),
+    (PG24, 7),
+    (PG24, 10),
+    (full_design(24, 1), 12),
+])
+def test_counts_only_memory_is_flat(parent, n):
+    """A counts-only level holds one chunk and the class table, not the
+    level: 8 MB covers PG(2,4) level 10 (352,716 subsets) and the 2.7M
+    subsets of level 12 of a 24-point ground set alike."""
+    tracemalloc.start()
+    try:
+        classify_level(parent, n, keep_members=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_counts_only_level_above_members_limit():
+    """Counts-only levels may exceed 2^SWEEP_LIMIT subsets; members mode may not."""
+    big = full_design(27, 1)
+    assert comb(27, 13) > 1 << classify_mod.SWEEP_LIMIT
+    (cls,) = classify_level(big, 13, keep_members=False)
+    assert (cls.signature.z, cls.size) == ((14, 13), comb(27, 13))
+    with pytest.raises(DesignError, match="counts-only sweep limit 2\\^31"):
+        classify_level(full_design(34, 1), 17, keep_members=False)  # C(34,17) > 2^31
+    with pytest.raises(DesignError, match="counts-only sweep limit 31"):
+        classify_all(full_design(32, 1), keep_members=False)
 
 
 def test_analyze_level_sts13():

@@ -178,6 +178,23 @@ def test_classify_level_above_sweep_limit_exit_code(capsys, tmp_path):
     assert err.startswith("error:") and "sweep limit" in err
 
 
+def test_classify_all_counts_only_above_limit_exit_code(capsys, tmp_path, monkeypatch):
+    """A 32-point parent is refused by --all --counts-only before any level
+    is swept, naming the counts-only bound."""
+    import blockfriends.classify as classify_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a level was swept")
+
+    path = tmp_path / "v32.design"
+    path.write_text(save_design(full_design(32, 1)))
+    monkeypatch.setattr(classify_mod, "classify_level", no_sweep)
+    code, out, err = run(capsys, "classify", str(path), "--all", "--counts-only")
+    assert (code, out) == (2, "")
+    assert err == ("error: v=32 exceeds counts-only sweep limit 31; "
+                   "classify levels one at a time\n")
+
+
 def test_classify_deterministic(capsys, s1_file):
     code1, out1, _ = run(capsys, "classify", s1_file, "-n", "5")
     code2, out2, _ = run(capsys, "--threads", "4", "classify", s1_file, "-n", "5")

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -21,6 +22,7 @@ from blockfriends import (
     subsets_of_size,
     whole_design,
 )
+from blockfriends.blocks import level_chunks, level_masks
 from oracle_util import BruteBlockError, brute_blocks, brute_detect, brute_labels, labels
 
 
@@ -96,6 +98,33 @@ def test_subsets_of_size_matches_combinations():
         for n in range(v + 3):
             want = [sum(1 << i for i in idx) for idx in combinations(range(v), n)]
             assert list(subsets_of_size(v, n)) == want
+
+
+def test_level_chunks_match_combinations():
+    """The pieces of level_chunks, joined, are the level in lexicographic
+    order, equal to level_masks, and none exceeds the limit."""
+    for v in range(15):
+        for n in range(v + 2):
+            want = [sum(1 << i for i in idx) for idx in combinations(range(v), n)]
+            assert level_masks(v, n).tolist() == want
+            for limit in (1, 2, 7, 64, 1 << 40):
+                pieces = list(level_chunks(v, n, limit))
+                assert all(0 < p.size <= limit for p in pieces)
+                assert [m for p in pieces for m in p.tolist()] == want
+
+
+def test_level_chunks_state_is_bounded():
+    """The first piece of a 3e8-subset level costs no more than the piece:
+    the prefix split is walked one prefix per depth, not tabled up front."""
+    tracemalloc.start()
+    try:
+        first = next(level_chunks(31, 15, 8456))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < first.size <= 8456
+    assert first[0] == (1 << 15) - 1
+    assert peak < 8 << 20
 
 
 def test_degenerate_designs():
