@@ -39,6 +39,7 @@ from .friendship import (
     check_count_identity,
     complement_transfer,
     constant_profiles,
+    friends_matrix,
     is_self_friend,
     transitivity_counterexample,
 )

@@ -8,6 +8,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 MAX_GROUND = 64
+# the most points on which a whole-power-set pass (a sweep that keeps its
+# members, a subset-lattice transform) runs: 2^24 cells
+SWEEP_LIMIT = 24
 
 
 def full_mask(v: int) -> int:

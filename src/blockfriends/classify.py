@@ -14,19 +14,16 @@ from math import comb
 
 import numpy as np
 
-from .blocks import full_mask, level_chunks
+from .blocks import SWEEP_LIMIT, full_mask, level_chunks
 from .designs import BlockDesign, DesignError, DesignParams, complement_params, detect_params
 from .families import power_set_owner
-from .friendship import are_friends, constant_profiles
-from .profiles import IntersectionProfile, intersection_sizes, profile_rows
+from .friendship import are_friends, friends_matrix
+from .profiles import CHUNK_CELLS, IntersectionProfile, intersection_sizes, profile_rows
 
-SWEEP_LIMIT = 24
 # a counts-only sweep holds one chunk and the class table, not the level, so
 # it takes levels of up to 2^COUNTS_ONLY_LIMIT subsets and classify_all takes
 # v up to COUNTS_ONLY_LIMIT, which reaches PG(2,5)
 COUNTS_ONLY_LIMIT = 31
-# intersection-matrix cells per chunk of classify_level (about 2 MB of uint64)
-CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -196,16 +193,6 @@ def classify_all(
     return Subdivision(parent, tuple(levels))
 
 
-def _friends_matrix(fams: list[BlockDesign]) -> list[list[bool]]:
-    """Symmetric friendship matrix, one are_friends call per unordered pair."""
-    m = len(fams)
-    matrix = [[True] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            matrix[i][j] = matrix[j][i] = are_friends(fams[i], fams[j]).friends
-    return matrix
-
-
 @dataclass(frozen=True)
 class SubdivisionReport:
     """Design and friendship verdicts over every class of a subdivision."""
@@ -240,32 +227,21 @@ def analyze(sub: Subdivision) -> SubdivisionReport:
         keys.append((n, j))
         designs_flags.append(cls.params is not None or n == 0 or n == v)
 
-    m = len(fams)
     owner = power_set_owner(v, fams)
-    const = constant_profiles(fams, owner)
-    matrix = (const & const.T).tolist()
-    self_friend = tuple(matrix[i][i] for i in range(m))
-    level_friendly = []
-    for n in range(v + 1):
-        idx = [t for t, (nn, _) in enumerate(keys) if nn == n]
-        level_friendly.append(
-            all(matrix[a][b] for x, a in enumerate(idx) for b in idx[x + 1 :])
-        )
-    family_friendly = all(
-        matrix[i][j] for i in range(m) for j in range(i + 1, m)
-    )
-    alpha_ok = owner is not None
-    conjecture = all(designs_flags) and family_friendly
+    matrix = friends_matrix(fams, owner)
+    unfriendly = np.triu(~matrix, 1)  # distinct pairs that are not friends
+    level_of = np.array([n for n, _ in keys])
+    family_friendly = not unfriendly.any()
     return SubdivisionReport(
         sub,
         tuple(keys),
         tuple(designs_flags),
-        self_friend,
-        tuple(tuple(row) for row in matrix),
-        tuple(level_friendly),
+        tuple(matrix.diagonal().tolist()),
+        tuple(map(tuple, matrix.tolist())),
+        tuple(not unfriendly[np.ix_(level_of == n, level_of == n)].any() for n in range(v + 1)),
         family_friendly,
-        alpha_ok,
-        conjecture,
+        owner is not None,
+        all(designs_flags) and family_friendly,
     )
 
 
@@ -281,14 +257,15 @@ class LevelReport:
 def analyze_level(
     parent: BlockDesign, classes: tuple[SubsetClass, ...]
 ) -> LevelReport:
-    """Check each class of one level against itself, the parent and the others."""
+    """Check each class of one level against itself, the parent and the
+    others, all from one friendship matrix of the classes and the parent."""
     fams = [c.to_family(f"class-{c.n}-{j + 1}") for j, c in enumerate(classes)]
     m = len(fams)
-    matrix = _friends_matrix(fams)
+    matrix = friends_matrix(fams + [parent])
     return LevelReport(
-        tuple(matrix[j][j] for j in range(m)),
-        tuple(are_friends(f, parent).friends for f in fams),
-        all(matrix[i][j] for i in range(m) for j in range(i + 1, m)),
+        tuple(matrix.diagonal()[:m].tolist()),
+        tuple(matrix[:m, m].tolist()),
+        not np.triu(~matrix[:m, :m], 1).any(),
     )
 
 

@@ -87,8 +87,7 @@ def cmd_verify(args) -> int:
         "witness": witness or None,
     }
     if ok:
-        p = params
-        _emit(args, payload, [f"design: v={p.v} b={p.b} r={p.r} k={p.k} lambda={p.lam}"])
+        _emit(args, payload, [f"design: {_params_str(d)}"])
         return 0
     _emit(args, payload, [f"not a design: {witness}"])
     return 1
@@ -336,11 +335,10 @@ def cmd_pg(args) -> int:
     d = projective_plane(tables)
     out = save_design(d, comment=f"projective plane of order {q}")
     Path(args.output).write_text(out, encoding="utf-8")
-    p = d.params
     _emit(
         args,
-        {"order": q, "params": list(p), "output": args.output},
-        [f"wrote pg2-{q}: v={p.v} b={p.b} r={p.r} k={p.k} lambda={p.lam} -> {args.output}"],
+        {"order": q, "params": list(d.params), "output": args.output},
+        [f"wrote pg2-{q}: {_params_str(d)} -> {args.output}"],
     )
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import as_mask, label_rows, subset_sums
 from .designs import BlockDesign, DesignError
-from .friendship import are_friends, constant_profiles
+from .friendship import are_friends, friends_matrix
 from .profiles import IntersectionProfile, intersection_sizes, profile_rows
 
 
@@ -66,12 +66,10 @@ def build_family(designs) -> FriendlyFamily:
     A failing pair raises NotFriendsError with the two member names and the
     probe witness; other bad input raises DesignError.
 
-    When the members' blocks partition 2^V, constant_profiles shows which
-    pairs are friends from passes over the subset lattice, and only a pair
-    it does not show goes to are_friends, for its verdict and witness.
-    Other families, such as any on more than 32 points, are checked pair by
-    pair.  Every stored profile phi(members[i], members[j]) is counted by
-    the popcount kernel against the first block of members[j].
+    friends_matrix decides every pair; only the first failing pair i < j
+    goes to are_friends, for its witness.  Every stored profile
+    phi(members[i], members[j]) is counted by the popcount kernel against
+    the first block of members[j].
     """
     keyed = sorted(((_canonical_key(d), d) for d in designs), key=itemgetter(0))
     members = [d for _, d in keyed]
@@ -89,24 +87,19 @@ def build_family(designs) -> FriendlyFamily:
             raise DesignError(f"duplicate member {d.name or i}")
     n = len(members)
     owner = power_set_owner(v, members)
-    known = np.zeros((n, n), dtype=bool)  # pairs already shown to be friends
-    if owner is not None:
-        const = constant_profiles(members, owner)
-        known = const & const.T
+    failing = np.argwhere(np.triu(~friends_matrix(members, owner), 1))
+    if failing.size:
+        i, j = failing[0].tolist()  # the first failing pair in row order
+        witness = are_friends(members[i], members[j]).witness
+        a = members[i].name or f"member-{i}"
+        b = members[j].name or f"member-{j}"
+        raise NotFriendsError(f"{a} and {b} are not friends (witness {witness})")
     firsts = [d.blocks[0] for d in members]
     # rows[i][j] = the profile of members[i] against the first block of members[j]
     rows = [profile_rows(intersection_sizes(firsts, d.blocks), d.k).tolist() for d in members]
     profiles: dict[tuple[int, int], IntersectionProfile] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if not known[i, j]:
-                verdict = are_friends(members[i], members[j])
-                if not verdict.friends:
-                    a = members[i].name or f"member-{i}"
-                    b = members[j].name or f"member-{j}"
-                    raise NotFriendsError(
-                        f"{a} and {b} are not friends (witness {verdict.witness})"
-                    )
             profiles[(i, j)] = IntersectionProfile(tuple(rows[i][j]), members[j].k)
             profiles[(j, i)] = IntersectionProfile(tuple(rows[j][i]), members[i].k)
     fam = FriendlyFamily(v, tuple(members), profiles)

@@ -2,16 +2,16 @@
 
 Two designs on the same ground set are friends when the profile of each
 against a single block of the other does not depend on which block was
-chosen.  `are_friends` decides one pair with O(b1*b2) popcounts on a numpy
-intersection-size matrix; it works for any ground set up to 64 points.
+chosen.  `are_friends` decides one pair with O(b1*b2) popcounts, walked in
+pieces of about CHUNK_CELLS intersection cells; it works for any ground set
+up to 64 points.
 
-`constant_profiles` is the all-pairs kernel for a family whose blocks
-partition the power set 2^V, where pairwise work would be about 4^v/2
-cells.  It runs k+1 transforms over the subset lattice per member
-(Bjorklund, Husfeldt, Kaski, Koivisto, "Fourier meets Moebius", STOC 2007),
-many columns to one numpy pass while a block of them fits BLOCK_CELLS, and
-reads off only whether each profile is constant over each other member;
-the profiles themselves come from the popcount kernel.  A member made of
+`friends_matrix` answers every pair of a family at once, and is the one
+place that picks a kernel: pair by pair, or `constant_profiles`, which runs
+k+1 transforms over the subset lattice per member (Bjorklund, Husfeldt,
+Kaski, Koivisto, "Fourier meets Moebius", STOC 2007), many columns to one
+numpy pass while a block of them fits BLOCK_CELLS, and reads off only
+whether each profile is constant over each other member.  A member made of
 the complements of an earlier member's blocks copies that member's row.
 """
 
@@ -23,9 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import full_mask, subset_sums
+from .blocks import SWEEP_LIMIT, full_mask, subset_sums
 from .designs import BlockDesign, DesignError, full_design
 from .profiles import (
+    CHUNK_CELLS,
     IntersectionProfile,
     intersection_sizes,
     profile_rows,
@@ -62,21 +63,27 @@ def are_friends(d1: BlockDesign, d2: BlockDesign) -> FriendshipVerdict:
     On success the two common profiles are returned.  On failure the witness
     names a pair of probe blocks whose profiles differ and which side failed:
     probe 0 and the first probe whose profile differs from it, side 1 first.
+    Each side walks its probes in pieces of CHUNK_CELLS // b rows and stops
+    at the first piece holding such a probe, so memory stays about one piece.
     Raw non-design families are accepted and flagged via inputs_are_designs.
     """
     if d1.v != d2.v:
         raise DesignError(f"ground sets differ: {d1.v} vs {d2.v}")
     flags = (d1.counts_as_design, d2.counts_as_design)
-    inter = intersection_sizes(d1.blocks, d2.blocks)
     common = []
     # side 1: d1 probed by each block of d2; side 2: d2 probed by each block of d1
-    for side, (sizes, k) in enumerate(((inter.T, d1.k), (inter, d2.k)), start=1):
-        rows = profile_rows(sizes, k)
-        differ = np.flatnonzero((rows != rows[0]).any(axis=1))
-        if differ.size:
-            witness = ProfileMismatch(side, 0, int(differ[0]))
-            return FriendshipVerdict(False, None, None, witness, flags)
-        common.append(tuple(int(x) for x in rows[0]))
+    for side, (d, other) in enumerate(((d1, d2), (d2, d1)), start=1):
+        blocks = np.asarray(d.blocks, dtype=np.uint64)
+        probes = np.asarray(other.blocks, dtype=np.uint64)
+        step = max(1, CHUNK_CELLS // d.b)
+        first = profile_rows(intersection_sizes(probes[:1], blocks), d.k)[0]
+        for lo in range(0, probes.size, step):
+            rows = profile_rows(intersection_sizes(probes[lo : lo + step], blocks), d.k)
+            differ = np.flatnonzero((rows != first).any(axis=1))
+            if differ.size:
+                witness = ProfileMismatch(side, 0, lo + int(differ[0]))
+                return FriendshipVerdict(False, None, None, witness, flags)
+        common.append(tuple(int(x) for x in first))
     p12 = IntersectionProfile(common[0], d2.k)
     p21 = IntersectionProfile(common[1], d1.k)
     return FriendshipVerdict(True, p12, p21, None, flags)
@@ -164,6 +171,31 @@ def constant_profiles(fams: list[BlockDesign], owner: np.ndarray | None) -> np.n
         if c >= 0:
             const[a] = const[c]
     return const
+
+
+def _lattice_pays(fams: list[BlockDesign]) -> bool:
+    """Whether friends_matrix runs the lattice kernel: on at most SWEEP_LIMIT
+    points, when its 2^v cells times k+1 transforms per member are no more
+    than the b_i b_j intersection cells of the pairs i <= j."""
+    bs = [d.b for d in fams]
+    pair_cells = (sum(bs) ** 2 + sum(b * b for b in bs)) // 2  # sum over i <= j
+    v = fams[0].v
+    return v <= SWEEP_LIMIT and (1 << v) * sum(d.k + 1 for d in fams) <= pair_cells
+
+
+def friends_matrix(fams: list[BlockDesign], owner: np.ndarray | None = None) -> np.ndarray:
+    """Symmetric boolean matrix, true at (i, j) iff fams[i] and fams[j] are
+    friends, diagonal included, from the kernel _lattice_pays picks; `owner`
+    is power_set_owner of fams, or None, as for constant_profiles."""
+    if _lattice_pays(fams):
+        const = constant_profiles(fams, owner)
+        return const & const.T
+    n = len(fams)
+    matrix = np.ones((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(i, n):
+            matrix[i, j] = matrix[j, i] = are_friends(fams[i], fams[j]).friends
+    return matrix
 
 
 def check_count_identity(verdict: FriendshipVerdict, b1: int, b2: int) -> bool:

@@ -15,6 +15,10 @@ import numpy as np
 from .blocks import as_mask
 from .designs import BlockDesign, DesignError, DesignParams
 
+# intersection-matrix cells per piece of a classify_level or are_friends walk
+# (about 2 MB as the int64 cells of profile_rows)
+CHUNK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class IntersectionProfile:

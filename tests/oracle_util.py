@@ -3,6 +3,9 @@
 Everything here works on plain label tuples with frozensets and itertools,
 deliberately not sharing code paths with the package (which uses bitmasks
 and numpy).  Expected values in the tests were frozen from these oracles.
+The one exception is pairwise_friends_matrix, the pair-by-pair reference
+for the package's friendship matrix: it calls are_friends, which is checked
+against brute_friends in its own right.
 """
 
 from collections import Counter
@@ -48,6 +51,19 @@ def brute_friends(blocks1, k1, blocks2, k2):
     p21 = {brute_profile(blocks2, b, k2) for b in blocks1}
     ok = len(p12) == 1 and len(p21) == 1
     return ok, (p12.pop() if len(p12) == 1 else None), (p21.pop() if len(p21) == 1 else None)
+
+
+def pairwise_friends_matrix(fams):
+    """Symmetric friendship matrix as nested lists, one are_friends call per
+    unordered pair, diagonal included."""
+    from blockfriends import are_friends
+
+    m = len(fams)
+    matrix = [[True] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            matrix[i][j] = matrix[j][i] = are_friends(fams[i], fams[j]).friends
+    return matrix
 
 
 def brute_classify(blocks, k, v, n):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import blockfriends.classify as classify_mod
+import blockfriends.friendship as friendship_mod
 from blockfriends import (
     DesignError,
     DesignParams,
@@ -20,6 +21,7 @@ from blockfriends import (
     family,
     fano,
     fano_family_members,
+    friends_matrix,
     full_design,
     labels_from_mask,
     load_field_tables,
@@ -32,7 +34,7 @@ from blockfriends import (
     theorem_k3_classes,
     theorem_k4_classes,
 )
-from oracle_util import brute_classify, labels
+from oracle_util import brute_classify, labels, pairwise_friends_matrix
 
 PG24 = projective_plane(load_field_tables(
     resources.files("blockfriends.data").joinpath("gf4.tables").read_text()))
@@ -406,11 +408,59 @@ _PAIRWISE: dict = {}  # (v, blocks) -> the pairwise matrix, computed once per pa
 @example(sts13_s2())
 @example(nine_point_design())
 def test_analyze_friends_matrix_equals_pairwise(parent):
-    """The subset-lattice friendship matrix of analyze agrees, cell for cell,
-    with one are_friends call per pair of classes."""
-    rep = analyze(classify_all(parent))
+    """The subset-lattice friendship matrix of analyze, pinned whatever the
+    rule would pick, agrees cell for cell with one are_friends call per pair
+    of classes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(friendship_mod, "_lattice_pays", lambda fams: True)
+        rep = analyze(classify_all(parent))
     key = (parent.v, frozenset(parent.blocks))
     if key not in _PAIRWISE:
         fams = [cls.to_family() for _, _, cls in rep.subdivision.all_classes()]
-        _PAIRWISE[key] = classify_mod._friends_matrix(fams)
+        _PAIRWISE[key] = pairwise_friends_matrix(fams)
     assert [list(row) for row in rep.friends_matrix] == _PAIRWISE[key]
+
+
+@st.composite
+def parent_levels(draw):
+    parent = draw(parents())
+    return parent, draw(st.integers(min_value=0, max_value=parent.v))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(parent_levels(), st.booleans())
+@example((sts13_s1(), 5), True)
+@example((sts13_s1(), 5), False)
+@example((projective_plane(prime_field(3)), 3), True)
+def test_analyze_level_equals_pairwise(level, lattice):
+    """Self-friendship, friendship with the parent and level friendliness,
+    read off one matrix by either kernel, equal the pairwise reference."""
+    parent, n = level
+    classes = classify_level(parent, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(friendship_mod, "_lattice_pays", lambda fams: lattice)
+        rep = analyze_level(parent, classes)
+    ref = pairwise_friends_matrix([c.to_family() for c in classes] + [parent])
+    m = len(classes)
+    assert rep.self_friend == tuple(ref[j][j] for j in range(m))
+    assert rep.friends_with_parent == tuple(ref[j][m] for j in range(m))
+    assert rep.level_friendly == all(ref[i][j] for i in range(m) for j in range(i + 1, m))
+
+
+def test_friends_matrix_kernel_selection(monkeypatch):
+    """The lattice runs on the Fano, PG(2,3) and STS(13) subdivisions, once
+    each; PG(2,4) with the 21-point pairs design goes pair by pair."""
+    ran = []
+    lattice, pairs = friendship_mod.constant_profiles, friendship_mod.are_friends
+    monkeypatch.setattr(friendship_mod, "constant_profiles",
+                        lambda *a: ran.append("lattice") or lattice(*a))
+    monkeypatch.setattr(friendship_mod, "are_friends",
+                        lambda *a: ran.append("pairs") or pairs(*a))
+    for parent in (fano(), projective_plane(prime_field(3)), sts13_s1(), sts13_s2()):
+        ran.clear()
+        analyze(classify_all(parent))
+        assert ran == ["lattice"]
+    ran.clear()
+    assert friends_matrix([PG24, full_design(21, 2)]).all()
+    assert ran == ["pairs"] * 3

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blockfriends
 from blockfriends import fano, full_design, load_design, save_design, sts13_s1
 from blockfriends import cli as cli_mod
 from blockfriends.cli import main
@@ -112,6 +117,35 @@ def test_classify_level6_report(capsys, s1_file):
     assert "n=6: 5 classes, 1716 subsets" in out
     assert out.count("not a design") == 5
     assert "level friendly: no" in out
+
+
+# runs the CLI under an address-space limit set before numpy is imported
+LIMITED_CLI = """
+import resource, sys
+limit = 1536 << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from blockfriends.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_level_report_in_bounded_memory(capsys, tmp_path):
+    """classify -n 6 --report on PG(2,4) runs within a 1.5 GB address space;
+    a whole intersection matrix of two level-6 classes needs 775 MiB more
+    than that alone."""
+    pg24 = str(tmp_path / "pg24.design")
+    assert run(capsys, "pg", "--order", "4", "-o", pg24)[0] == 0
+    src = str(Path(blockfriends.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, "classify", pg24, "-n", "6", "--report"],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "n=6: 7 classes, 54264 subsets" in proc.stdout
+    report = [f"  class {j}: self-friend {'no' if j == 6 else 'yes'}, friends with parent yes"
+              for j in range(1, 8)]
+    assert proc.stdout.endswith("\n".join(["report:", *report, "  level friendly: no\n"]))
 
 
 def test_classify_all_report(capsys, fano_file):

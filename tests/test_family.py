@@ -354,13 +354,29 @@ def unfriendly_partition(rotation=0):
 def test_kernel_not_friends_error_matches_pairwise(monkeypatch):
     members = unfriendly_partition()
     assert power_set_owner(7, members) is not None
+    monkeypatch.setattr(friendship_mod, "_lattice_pays", lambda fams: True)
     with pytest.raises(NotFriendsError) as lattice:
         build_family(members)
-    monkeypatch.setattr(families_mod, "power_set_owner", lambda v, designs: None)
+    monkeypatch.setattr(friendship_mod, "_lattice_pays", lambda fams: False)
     with pytest.raises(NotFriendsError) as pairwise:
         build_family(members)
     assert str(lattice.value) == str(pairwise.value) == (
         "F1 and R2 are not friends (witness ProfileMismatch(side=1, i=0, j=8))")
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+def test_build_family_calls_are_friends_for_the_witness_only(monkeypatch, lattice):
+    """Whichever kernel decides the pairs, build_family itself asks
+    are_friends only for the witness of the first failing pair."""
+    calls = []
+    real = families_mod.are_friends
+    monkeypatch.setattr(families_mod, "are_friends", lambda a, b: calls.append(1) or real(a, b))
+    monkeypatch.setattr(friendship_mod, "_lattice_pays", lambda fams: lattice)
+    build_family(pg23_family().members)
+    assert calls == []
+    with pytest.raises(NotFriendsError):
+        build_family(unfriendly_partition())
+    assert len(calls) == 1
 
 
 def split_partition():

@@ -1,6 +1,9 @@
 """Randomized property suites over the bundled designs and their derivatives."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+
+import blockfriends.friendship as friendship_mod
 
 from blockfriends import (
     are_friends,
@@ -28,7 +31,7 @@ from blockfriends import (
     sts13_s1,
     sts13_s2,
 )
-from oracle_util import brute_profile, labels
+from oracle_util import brute_friends, brute_profile, labels
 
 MANY = settings(
     max_examples=220,
@@ -221,3 +224,19 @@ def _oracle_witness(a, b):
 def test_witness_is_first_differing_probe(pair):
     a, b = pair
     assert are_friends(a, b).witness == _oracle_witness(a, b)
+
+
+@settings(MANY, max_examples=150)
+@given(st.sampled_from(_witness_pool()), st.integers(min_value=1, max_value=60))
+def test_chunked_are_friends_matches_oracle(pair, chunk_cells):
+    """Probes walked in pieces of chunk_cells // b rows, down to one row a
+    piece, give the oracle's verdict, profiles and witness."""
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(friendship_mod, "CHUNK_CELLS", chunk_cells)
+        got = are_friends(a, b)
+    friends, p12, p21 = brute_friends(labels(a), a.k, labels(b), b.k)
+    assert got.friends == friends
+    assert got.witness == _oracle_witness(a, b)
+    if friends:
+        assert (got.profile_1_2.z, got.profile_2_1.z) == (p12, p21)
