@@ -65,6 +65,7 @@ from .classify import (
     analyze_level,
     classify_all,
     classify_level,
+    closed_form_classes,
     theorem_k3_classes,
     theorem_k4_classes,
 )

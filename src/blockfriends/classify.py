@@ -269,95 +269,80 @@ def analyze_level(
     )
 
 
-def _two_classes(
-    parent: BlockDesign,
-    n: int,
-    target: frozenset[int],
-    what: str,
-    predicted: tuple[DesignParams, DesignParams],
-) -> tuple[SubsetClass, SubsetClass]:
-    """The two classes of level n, the one whose members are `target` first.
-
-    `what` names `target` in the error message; the classes' params must equal
-    `predicted`, in the same order.
-    """
-    classes = classify_level(parent, n)
-    if len(classes) != 2:
-        raise AssertionError(f"expected 2 classes at level {n}, found {len(classes)}")
-    if frozenset(classes[0].members) == target:
-        c1, c2 = classes
-    elif frozenset(classes[1].members) == target:
-        c2, c1 = classes
-    else:
-        raise AssertionError(f"neither level-{n} class matches {what}")
-    if (c1.params, c2.params) != predicted:
-        raise AssertionError(
-            f"level-{n} params {c1.params}, {c2.params} != predicted "
-            f"{predicted[0]}, {predicted[1]}"
-        )
-    return c1, c2
+ClassPair = tuple[SubsetClass, DesignParams]
 
 
-def theorem_k3_classes(
-    parent: BlockDesign,
-) -> tuple[tuple[SubsetClass, DesignParams], tuple[SubsetClass, DesignParams]]:
-    """Closed-form level-3 classes for a parent with block size 3.
+def closed_form_classes(parent: BlockDesign, n: int) -> tuple[ClassPair, ...]:
+    """Closed-form classes at level n = 3 of a parent with k = 3 or
+    lambda = 1, and at level 4 of one with lambda = 1: (class, params)
+    pairs, largest m first, empty classes left out, r' = b'n/v.
 
-    The triples split into the parent's own blocks and everything else; the
-    second class is a design with b' = C(v,3)-b, r' = C(v-1,2)-r, and
-    lambda' = v-2-lambda.  Verified against the exhaustive sweep before
-    returning.
+    A member's m is the most of its points in one block, the largest j with
+    z_j > 0.  At most one block holds m >= 3 of its points, so m fixes z_3,
+    z_4 and, by the moment identities, z_0..z_2: each m is one class.  Its
+    lambda' counts members through a pair {x,y} in block B; every count
+    below is the same for all pairs, so each class is a 2-design.
+    Level 3, m = 3: for k = 3 the b blocks, lambda through {x,y}; for
+    lambda = 1 the b C(k,3) triples in a block, k-2 through {x,y} (in B).
+    So lambda' = lambda (k-2); the other triples through {x,y} have m = 2.
+    Level 4, lambda = 1: an S(2,k,v), r = (v-1)/(k-1) (Colbourn & Dinitz,
+    Handbook of Combinatorial Designs, 2nd ed., 2007).  m = 4: the b C(k,4)
+    4-subsets of blocks, C(k-2,2) through {x,y}, all in B.  m = 3: a triple
+    in a block plus a point off it, the triple unique (two would share two
+    points, hence a block): b C(k,3) (v-k) members.  Through {x,y} the
+    triple holds both, k-2 ways in B times v-k points off B, or just one,
+    with two more points of one of its r-1 other blocks, which miss the
+    other: lambda' = (k-2)(v-k) + 2 (r-1) C(k-1,2).  m = 2: the rest.
+    Checked before returning: one classify_level sweep gives exactly these
+    classes and params, each is friends with the parent, and for m >= 3 a
+    parent block meets C(k,m) (v-k)^(n-m) members, and a member one parent
+    block, in m points.
     """
     p = parent.params
-    if p is None or p.k != 3:
+    if p is None or n not in (3, 4) or (p.lam != 1 and (n, p.k) != (3, 3)):
+        raise DesignError("needs level 3 of a validated parent with k = 3 or lambda = 1, "
+                          "or level 4 of one with lambda = 1")
+    v, b, r, k, lam = p
+    top = {3: (b * comb(k, 3), lam * (k - 2))} if n == 3 else {
+        4: (b * comb(k, 4), comb(k - 2, 2)),
+        3: (b * comb(k, 3) * (v - k), (k - 2) * (v - k) + 2 * (r - 1) * comb(k - 1, 2)),
+    }
+    sizes, lams = zip(*top.values())
+    top[2] = (comb(v, n) - sum(sizes), comb(v - 2, n - 2) - sum(lams))
+    predicted = [(m, DesignParams(v, s, s * n // v, n, lm)) for m, (s, lm) in top.items() if s]
+    classes = sorted(
+        ((max(j for j, z in enumerate(c.signature.z) if z), c) for c in classify_level(parent, n)),
+        key=lambda mc: -mc[0],
+    )
+    found = [(m, c.params) for m, c in classes]
+    if found != predicted:
+        raise AssertionError(f"level-{n} (m, params) {found} != predicted {predicted}")
+    for m, cls in classes:
+        verdict = are_friends(cls.to_family(f"level-{n}-m{m}"), parent)
+        if not verdict.friends:
+            raise AssertionError(f"level-{n} class m={m} is not friends with the parent")
+        anchors = (verdict.profile_1_2.z[m], verdict.profile_2_1.z[m])
+        if m >= 3 and anchors != (comb(k, m) * (v - k) ** (n - m), 1):
+            raise AssertionError(f"anchor entries of the level-{n} cross profiles are off")
+    return tuple((cls, params) for (_, cls), (_, params) in zip(classes, predicted))
+
+
+def _k3_case(parent: BlockDesign, n: int) -> tuple[ClassPair, ClassPair]:
+    if parent.params is None or parent.params.k != 3:
         raise DesignError("needs a validated parent with block size 3")
-    v = p.v
-    predicted2 = DesignParams(
-        v, comb(v, 3) - p.b, comb(v - 1, 2) - p.r, 3, v - 2 - p.lam
-    )
-    c1, c2 = _two_classes(
-        parent, 3, frozenset(parent.blocks), "the parent blocks", (p, predicted2)
-    )
-    if not are_friends(parent, c2.to_family("non-blocks-3")).friends:
-        raise AssertionError("non-block triples are not friends with the parent")
-    return (c1, p), (c2, predicted2)
+    pairs = closed_form_classes(parent, n)
+    if len(pairs) != 2:
+        raise AssertionError(f"expected 2 classes at level {n}, found {len(pairs)}")
+    return pairs
 
 
-def theorem_k4_classes(
-    parent: BlockDesign,
-) -> tuple[tuple[SubsetClass, DesignParams], tuple[SubsetClass, DesignParams]]:
-    """Closed-form level-4 classes for a parent with block size 3, lambda 1.
+def theorem_k3_classes(parent: BlockDesign) -> tuple[ClassPair, ClassPair]:
+    """closed_form_classes at level 3, the k = 3 case: the parent's blocks,
+    then the other triples, a design with lambda' = v-2-lambda."""
+    return _k3_case(parent, 3)
 
-    Quadruples containing a parent block form one class (b(v-3) of them);
-    the rest form the other.  Checks the predicted parameters, friendship
-    with the parent, and the anchor entries z_3 = v-3 and z_3 = 1 of the
-    two cross profiles.
-    """
-    p = parent.params
-    if p is None or p.k != 3 or p.lam != 1:
-        raise DesignError("needs a validated parent with block size 3 and lambda 1")
-    v = p.v
-    extensions = frozenset(
-        blk | (1 << x)
-        for blk in parent.blocks
-        for x in range(v)
-        if not (blk >> x) & 1
-    )
-    if len(extensions) != p.b * (v - 3):
-        raise AssertionError("block extensions are not all distinct")
-    r1 = p.r * (v - 3) + (p.b - p.r)
-    lam1 = v - 3 + 2 * (p.r - 1)
-    predicted1 = DesignParams(v, p.b * (v - 3), r1, 4, lam1)
-    predicted2 = DesignParams(
-        v, comb(v, 4) - predicted1.b, comb(v - 1, 3) - r1, 4, comb(v - 2, 2) - lam1
-    )
-    c1, c2 = _two_classes(
-        parent, 4, extensions, "the block extensions", (predicted1, predicted2)
-    )
-    v1 = are_friends(c1.to_family("contains-a-block-4"), parent)
-    v2 = are_friends(c2.to_family("avoids-blocks-4"), parent)
-    if not (v1.friends and v2.friends):
-        raise AssertionError("level-4 classes are not friends with the parent")
-    if v1.profile_1_2.z[3] != v - 3 or v1.profile_2_1.z[3] != 1:
-        raise AssertionError("anchor entries of the cross profiles are off")
-    return (c1, predicted1), (c2, predicted2)
+
+def theorem_k4_classes(parent: BlockDesign) -> tuple[ClassPair, ClassPair]:
+    """closed_form_classes at level 4, the k = 3, lambda = 1 case: the
+    b(v-3) quadruples holding a parent block, then the rest."""
+    return _k3_case(parent, 4)

@@ -195,8 +195,9 @@ def empty_design(v: int) -> BlockDesign:
 
 
 def whole_design(v: int) -> BlockDesign:
-    """The degenerate design whose single block is all of V."""
-    return BlockDesign(v, (full_mask(v),), DesignParams(v, 1, 1, v, 1), f"full-{v}")
+    """The degenerate design whose single block is all of V; lambda = 0 at
+    v = 1, where no pair exists."""
+    return BlockDesign(v, (full_mask(v),), DesignParams(v, 1, 1, v, int(v > 1)), f"full-{v}")
 
 
 def full_design(v: int, k: int, name: str | None = None) -> BlockDesign:

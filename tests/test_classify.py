@@ -17,9 +17,11 @@ from blockfriends import (
     catalog,
     classify_all,
     classify_level,
+    closed_form_classes,
     complement_design,
     family,
     fano,
+    fano_complement,
     fano_family_members,
     friends_matrix,
     full_design,
@@ -252,6 +254,48 @@ def test_theorem_matches_exhaustive_for_all_k3_parents():
             assert {frozenset(c.members) for c in lv4} == {
                 frozenset(d1.members), frozenset(d2.members)}
             assert {c.params for c in lv4} == {q1, q2}
+
+
+CLOSED_FORM_PARENTS = {
+    "fano": (fano, (3, 4)),
+    "sts13_s1": (sts13_s1, (3, 4)),
+    "sts13_s2": (sts13_s2, (3, 4)),
+    "non_fano_triples": (non_fano_triples, (3,)),  # k = 3, lambda = 4
+    "full_8_2": (lambda: full_design(8, 2), (3, 4)),
+    "full_7_7": (lambda: full_design(7, 7), (3, 4)),
+    "pg23": (lambda: projective_plane(prime_field(3)), (3, 4)),
+    "pg24": (lambda: PG24, (3, 4)),
+    "pg25": (lambda: projective_plane(prime_field(5)), (3, 4)),
+    "pg27": (lambda: projective_plane(prime_field(7)), (3, 4)),
+}
+
+
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name, (_, levels) in CLOSED_FORM_PARENTS.items() for n in levels
+])
+def test_closed_form_classes_match_sweep(name, n):
+    parent = CLOSED_FORM_PARENTS[name][0]()
+    pairs = closed_form_classes(parent, n)
+    classes = classify_level(parent, n)
+    assert {frozenset(c.members) for c, _ in pairs} == {frozenset(c.members) for c in classes}
+    assert all(c.params == p for c, p in pairs)
+    assert sorted(p for _, p in pairs) == sorted(c.params for c in classes)
+    ms = [max(j for j, z in enumerate(c.signature.z) if z) for c, _ in pairs]
+    assert ms == sorted(ms, reverse=True) and len(set(ms)) == len(ms)
+
+
+def test_closed_form_classes_refusals():
+    for n in (2, 5):
+        with pytest.raises(DesignError):
+            closed_form_classes(fano(), n)
+    with pytest.raises(DesignError):
+        closed_form_classes(family(7, [(1, 2, 3), (1, 2, 4), (3, 5, 6)]), 3)
+    with pytest.raises(DesignError):
+        closed_form_classes(fano_complement(), 3)  # k = 4, lambda = 2
+    with pytest.raises(DesignError):
+        closed_form_classes(non_fano_triples(), 4)  # lambda = 4
+    with pytest.raises(AssertionError, match="expected 2 classes at level 3, found 1"):
+        theorem_k3_classes(full_design(7, 3))  # every triple is a block
 
 
 def test_level_size_guard():

@@ -88,6 +88,13 @@ def test_full_design_matches_detection():
             assert detect_design(d.blocks, v)[0] == d.params
 
 
+def test_full_design_params_match_detection_through_k_equals_v():
+    for v in range(1, 11):
+        for k in range(1, v + 1):
+            d = full_design(v, k)
+            assert d.params == detect_design(d.blocks, v)[0]
+
+
 def test_full_design_blocks_lexicographic():
     d = full_design(5, 3)
     assert d.block_labels() == tuple(combinations(range(1, 6), 3))
