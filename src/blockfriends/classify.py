@@ -79,6 +79,63 @@ def _key_weights(b: int, k: int) -> np.ndarray:
     return w
 
 
+def _packed_keys(parent: BlockDesign):
+    """keys(subs): the sort key of each subset against the parent, as a
+    (key words x len(subs)) int64 array equal to W @ profile_rows(...).T
+    - b W[:, :1] for W = _key_weights(b, k), read from two tables by
+    broadword arithmetic on packed fields (Knuth, TAOCP 4A, 7.1.3).
+
+    Count table: block j's intersection count takes a field of
+    f = k.bit_length() bits, 64 // f fields to a uint64 word.  Per s-bit
+    slice of the subset mask and per slice value, it holds the packed counts
+    of that slice with every block, so a subset's whole intersection vector
+    is ceil(v/s) reads added together, laid out word-major.  Counts never
+    exceed k, so fields never carry.  s is 8, or less when the table would
+    pass CHUNK_CELLS cells.
+    Key table: per 12-bit slice of packed counts (12 // f whole fields),
+    the slice's share of the key, W[:, c] - W[:, 0] for each field of count
+    c.  So every block adds W[:, c_j] - W[:, 0] and every padding field 0:
+    the key is the profile key minus a constant, with the same order and
+    the same classes, from a few reads per subset.
+    """
+    v, b, k = parent.v, parent.b, parent.k
+    f = k.bit_length() or 1
+    per_word = 64 // f
+    words = -(-b // per_word)
+    s = 8
+    while s > 1 and -(-v // s) * words << s > CHUNK_CELLS:
+        s -= 1
+    offsets = np.arange(0, v, s, dtype=np.uint64)
+    smask = np.uint64((1 << s) - 1)
+    fields = np.zeros(words * per_word, dtype=np.uint64)
+    fields[:b] = parent.blocks
+    fields = fields.reshape(words, per_word)
+    values = np.arange(1 << s, dtype=np.uint8)
+    counts = np.zeros((offsets.size, words, 1 << s), dtype=np.uint64)
+    for i in range(per_word):
+        piece = ((fields[:, i] >> offsets[:, None]) & smask).astype(np.uint8)
+        counts |= np.bitwise_count(piece[:, :, None] & values).astype(np.uint64) << np.uint64(f * i)
+
+    g = max(1, 12 // f) * f  # bits per key-table read
+    weights = _key_weights(b, k)
+    slots = np.arange(1 << g, dtype=np.uint64)[:, None] >> np.arange(0, g, f, dtype=np.uint64)
+    slots = np.minimum(slots & np.uint64((1 << f) - 1), k)  # field values above k never occur
+    key_table = (weights - weights[:, :1])[:, slots].sum(axis=2)
+    gmask = np.uint64((1 << g) - 1)
+    shifts = np.arange(g, f * per_word, g, dtype=np.uint64)
+
+    def keys(subs: np.ndarray) -> np.ndarray:
+        packed = counts[0][:, subs & smask]  # (words, subsets)
+        for p in range(1, offsets.size):
+            packed += counts[p][:, (subs >> offsets[p]) & smask]
+        shares = key_table[:, packed & gmask]  # (key words, words, subsets)
+        for shift in shifts:
+            shares += key_table[:, (packed >> shift) & gmask]
+        return shares.sum(axis=1)
+
+    return keys
+
+
 def _sweep_limit(keep_members: bool) -> tuple[int, str]:
     """The bound that applies to a sweep, and its name in refusals."""
     if keep_members:
@@ -87,19 +144,23 @@ def _sweep_limit(keep_members: bool) -> tuple[int, str]:
 
 
 def classify_level(
-    parent: BlockDesign, n: int, keep_members: bool = True
+    parent: BlockDesign, n: int, keep_members: bool = True, *, _keys=None
 ) -> tuple[SubsetClass, ...]:
     """Group all n-subsets of the ground set by profile against the parent.
 
     Classes come back sorted by signature; members within a class keep the
     lexicographic enumeration order.  The level is walked in lexicographic
-    pieces of CHUNK_CELLS // b subsets (level_chunks).  Each piece is grouped
-    by one stable sort and merged into a table holding, per class, its key,
-    count and first member, plus its members when they are kept.  Counts-only
-    memory is therefore one piece (about CHUNK_CELLS intersection cells) plus
-    the table, whatever the level size; with members kept, the members are
-    all that grows.  Levels of more than 2^SWEEP_LIMIT subsets, or
-    2^COUNTS_ONLY_LIMIT counts-only, are refused before any work.
+    pieces of CHUNK_CELLS // b subsets (level_chunks).  Each subset's key is
+    its profile packed into int64 words, read from the parent's count and
+    key tables (_packed_keys: broadword arithmetic on packed count fields,
+    Knuth, TAOCP 4A, 7.1.3), which `_keys` passes in when classify_all has
+    built them for every level.  Each piece is grouped by one stable sort of
+    the keys and merged into a table holding, per class, its key, count and
+    first member, plus its members when they are kept.  Counts-only memory
+    is therefore one piece plus the tables, whatever the level size; with
+    members kept, the members are all that grows.  Levels of more than
+    2^SWEEP_LIMIT subsets, or 2^COUNTS_ONLY_LIMIT counts-only, are refused
+    before any work.
     """
     v = parent.v
     if not 0 <= n <= v:
@@ -109,11 +170,10 @@ def classify_level(
         raise DesignError(
             f"level n={n} has C({v},{n}) = {comb(v, n)} subsets, above the {name} 2^{limit}"
         )
-    weights = _key_weights(parent.b, parent.k)
-    blocks = np.asarray(parent.blocks, dtype=np.uint64)
+    packed_keys = _keys or _packed_keys(parent)
     table: dict[tuple[int, ...], list] = {}  # key words -> [count, first, members]
     for subs in level_chunks(v, n, max(1, CHUNK_CELLS // parent.b)):
-        keys = weights @ profile_rows(intersection_sizes(subs, blocks), parent.k).T
+        keys = packed_keys(subs)
         order = np.lexsort(keys[::-1])  # stable: members stay in enumeration order
         ordered = keys[:, order]
         starts = np.flatnonzero(
@@ -134,7 +194,7 @@ def classify_level(
                 entry[2] += subs[lo:hi].tolist()
     rows = [table[key] for key in sorted(table)]  # key order is signature order
     firsts = np.array([first for _, first, _ in rows], dtype=np.uint64)
-    sigs = profile_rows(intersection_sizes(firsts, blocks), parent.k)
+    sigs = profile_rows(intersection_sizes(firsts, parent.blocks), parent.k)
     classes = []
     for sig_row, (size, _, members) in zip(sigs.tolist(), rows):
         sig = IntersectionProfile(tuple(sig_row), n)
@@ -179,15 +239,18 @@ def classify_all(
     """Classify every level 0..v: levels up to v/2 directly, the rest by
     complement.
 
-    `threads` is accepted for compatibility and has no effect on the work
-    done or the results.  Parents on more than SWEEP_LIMIT points, or
-    COUNTS_ONLY_LIMIT counts-only, are refused before any work.
+    The parent's count and key tables (_packed_keys) are built once and
+    serve every swept level.  `threads` is accepted for compatibility and
+    has no effect on the work done or the results.  Parents on more than
+    SWEEP_LIMIT points, or COUNTS_ONLY_LIMIT counts-only, are refused before
+    any work.
     """
     v = parent.v
     limit, name = _sweep_limit(keep_members)
     if v > limit:
         raise DesignError(f"v={v} exceeds {name} {limit}; classify levels one at a time")
-    levels = [classify_level(parent, n, keep_members) for n in range(v // 2 + 1)]
+    keys = _packed_keys(parent)
+    levels = [classify_level(parent, n, keep_members, _keys=keys) for n in range(v // 2 + 1)]
     for n in range(v // 2 + 1, v + 1):
         levels.append(_derive_complement_level(levels[v - n], v))
     return Subdivision(parent, tuple(levels))

@@ -33,7 +33,6 @@ from .profiles import check_moment_identities, profile
 from .classify import analyze, analyze_level, classify_all, classify_level
 from .planes import projective_plane
 from .catalog import catalog
-from .selfcheck import run_selfcheck
 
 
 def _params_str(d: BlockDesign) -> str:
@@ -183,6 +182,9 @@ def _class_json(cls) -> dict:
 def cmd_classify(args) -> int:
     parent = _load(args.parent, raw=args.family)
     keep = not args.counts_only
+    if args.report and not keep:  # refused before any level is swept
+        raise DesignError("analysis needs retained class members" if args.all
+                          else "class members were not retained")
     lines = [f"parent: {parent.name} ({_params_str(parent)})"]
     payload: dict = {"parent": parent.name, "params": _params_json(parent)}
     if args.n is not None:
@@ -388,6 +390,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck  # imported here: no other command needs it
+
     results = run_selfcheck()
     all_pass = all(ok for _, ok, _ in results)
     lines = []

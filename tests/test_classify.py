@@ -19,6 +19,7 @@ from blockfriends import (
     classify_level,
     closed_form_classes,
     complement_design,
+    empty_design,
     family,
     fano,
     fano_complement,
@@ -35,7 +36,10 @@ from blockfriends import (
     sts13_s2,
     theorem_k3_classes,
     theorem_k4_classes,
+    whole_design,
 )
+from blockfriends.blocks import level_chunks
+from blockfriends.profiles import intersection_sizes, profile_rows
 from oracle_util import brute_classify, labels, pairwise_friends_matrix
 
 PG24 = projective_plane(load_field_tables(
@@ -398,6 +402,21 @@ def test_counts_only_memory_is_flat(parent, n):
     assert peak < 8 << 20
 
 
+@pytest.mark.parametrize("keep_members", [False, True])
+def test_wide_parent_level_memory_is_flat(keep_members):
+    """The count and key tables stay within the chunk budget when b is
+    large: level 2 of the 48,620 blocks of full_design(18, 9)."""
+    parent = full_design(18, 9)
+    tracemalloc.start()
+    try:
+        (cls,) = classify_level(parent, 2, keep_members=keep_members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cls.size == comb(18, 2)
+    assert peak < 8 << 20
+
+
 def test_counts_only_level_above_members_limit():
     """Counts-only levels may exceed 2^SWEEP_LIMIT subsets; members mode may not."""
     big = full_design(27, 1)
@@ -508,3 +527,52 @@ def test_friends_matrix_kernel_selection(monkeypatch):
     ran.clear()
     assert friends_matrix([PG24, full_design(21, 2)]).all()
     assert ran == ["pairs"] * 3
+
+
+def _assert_packed_keys(parent, n, chunk_cells):
+    """Every chunk's packed key is the profile key W @ profile_rows less the
+    constant b W[:, 0], with the tables and chunks both bounded by
+    chunk_cells."""
+    weights = classify_mod._key_weights(parent.b, parent.k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_mod, "CHUNK_CELLS", chunk_cells)
+        keys = classify_mod._packed_keys(parent)
+    for subs in level_chunks(parent.v, n, max(1, chunk_cells // parent.b)):
+        rows = profile_rows(intersection_sizes(subs, parent.blocks), parent.k)
+        expected = weights @ rows.T - parent.b * weights[:, :1]
+        assert keys(subs).tolist() == expected.tolist()
+
+
+# field widths f = k.bit_length() at k = 3/4 and 7/8, mask slices at
+# v = 8/9, 16/17 and 24/25, both degenerate parents, and a parent whose
+# counts fill 382 words and whose key needs two int64 words
+KEY_EDGES = [
+    _cyclic_development(8, {0, 1, 3}),
+    _cyclic_development(9, {0, 1, 2, 4}),
+    _cyclic_development(16, {0, 1, 2, 4, 5, 8, 11}),
+    _cyclic_development(17, {0, 1, 2, 3, 5, 7, 10, 12}),
+    _cyclic_development(24, {0, 1, 3, 7}),
+    _cyclic_development(25, {0, 1, 2, 5, 8, 12, 17, 20}),
+    _cyclic_development(25, {0, 1, 5}),
+    empty_design(9),
+    whole_design(8),
+    whole_design(25),
+    full_design(16, 6),
+]
+
+
+@pytest.mark.parametrize("chunk_cells", [7, 1 << 18])
+@pytest.mark.parametrize("parent", KEY_EDGES, ids=lambda p: f"v{p.v}-b{p.b}-k{p.k}")
+def test_packed_keys_at_field_and_slice_edges(parent, chunk_cells):
+    """Every level small enough to check, the top levels included, where
+    subsets hold whole blocks and each count field reaches k."""
+    for n in range(parent.v + 1):
+        if comb(parent.v, n) <= 3000:
+            _assert_packed_keys(parent, n, chunk_cells)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(parent_levels(), st.integers(min_value=1, max_value=60))
+def test_packed_keys_equal_profile_keys(level, chunk_cells):
+    _assert_packed_keys(*level, chunk_cells)

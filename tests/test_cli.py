@@ -212,21 +212,38 @@ def test_classify_level_above_sweep_limit_exit_code(capsys, tmp_path):
     assert err.startswith("error:") and "sweep limit" in err
 
 
-def test_classify_all_counts_only_above_limit_exit_code(capsys, tmp_path, monkeypatch):
-    """A 32-point parent is refused by --all --counts-only before any level
-    is swept, naming the counts-only bound."""
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Fails the test as soon as a level is swept, through classify_all or
+    the CLI's own classify_level."""
     import blockfriends.classify as classify_mod
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("a level was swept")
 
+    monkeypatch.setattr(classify_mod, "classify_level", no_sweep)
+    monkeypatch.setattr(cli_mod, "classify_level", no_sweep)
+
+
+def test_classify_all_counts_only_above_limit_exit_code(capsys, tmp_path, no_sweep):
+    """A 32-point parent is refused by --all --counts-only before any level
+    is swept, naming the counts-only bound."""
     path = tmp_path / "v32.design"
     path.write_text(save_design(full_design(32, 1)))
-    monkeypatch.setattr(classify_mod, "classify_level", no_sweep)
     code, out, err = run(capsys, "classify", str(path), "--all", "--counts-only")
     assert (code, out) == (2, "")
     assert err == ("error: v=32 exceeds counts-only sweep limit 31; "
                    "classify levels one at a time\n")
+
+
+@pytest.mark.parametrize("level, message", [
+    (["-n", "3"], "class members were not retained"),
+    (["--all"], "analysis needs retained class members"),
+])
+def test_counts_only_report_refused_before_sweep(capsys, fano_file, no_sweep, level, message):
+    """--counts-only --report is a usage error, found before any sweep."""
+    code, out, err = run(capsys, "classify", fano_file, *level, "--counts-only", "--report")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_classify_deterministic(capsys, s1_file):
@@ -338,6 +355,37 @@ def test_selfcheck_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["all_pass"] and len(data["checks"]) > 50
+
+
+# prints whether importing the CLI loaded selfcheck, then the JSON payload
+# of run_selfcheck's results on one line, then the CLI's selfcheck --json
+SELFCHECK_IMPORT = """
+import json, sys
+import blockfriends.cli as cli
+print('blockfriends.selfcheck' in sys.modules)
+from blockfriends.selfcheck import run_selfcheck
+results = run_selfcheck()
+print(json.dumps({
+    "checks": [{"name": n, "pass": ok, "detail": d or None} for n, ok, d in results],
+    "all_pass": all(ok for _, ok, _ in results),
+}))
+sys.exit(cli.main(["--json", "selfcheck"]))
+"""
+
+
+def test_cli_import_leaves_selfcheck_unloaded():
+    """Importing the CLI does not import selfcheck; the command imports it
+    and prints exactly the JSON of run_selfcheck's results."""
+    src = str(Path(blockfriends.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", SELFCHECK_IMPORT],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=600)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded, payload, printed = proc.stdout.split("\n", 2)
+    assert loaded == "False"
+    payload = json.loads(payload)
+    assert payload["all_pass"]
+    assert printed == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_json_outputs_parse(capsys, fano_file, d5_file):
