@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from math import comb
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -19,12 +20,13 @@ def full_mask(v: int) -> int:
 
 
 def mask_from_labels(labels: Iterable[int], v: int | None = None) -> int:
-    """Build a mask from 1-based element labels; rejects repeats and out-of-range labels."""
+    """Build a mask (a Python int) from 1-based integer labels, numpy's
+    included; rejects repeats and out-of-range labels."""
     mask = 0
     for x in labels:
         if x < 1 or (v is not None and x > v) or x > MAX_GROUND:
             raise ValueError(f"element label {x} out of range 1..{v or MAX_GROUND}")
-        bit = 1 << (x - 1)
+        bit = 1 << (index(x) - 1)
         if mask & bit:
             raise ValueError(f"repeated element label {x}")
         mask |= bit
@@ -42,12 +44,14 @@ def labels_from_mask(mask: int) -> tuple[int, ...]:
 
 
 def as_mask(block, v: int | None = None) -> int:
-    """Accept a block given either as a mask or as an iterable of labels."""
-    if isinstance(block, int):
-        if block < 0 or (v is not None and block >> v):
-            raise ValueError(f"mask {block:#x} not within ground set of size {v}")
-        return block
-    return mask_from_labels(block, v)
+    """A block given as a mask (any integer, read as a Python int) or as labels."""
+    try:
+        mask = index(block)
+    except TypeError:
+        return mask_from_labels(block, v)
+    if mask < 0 or (v is not None and mask >> v):
+        raise ValueError(f"mask {mask:#x} not within ground set of size {v}")
+    return mask
 
 
 def later_copies(arr: np.ndarray) -> np.ndarray:
@@ -84,64 +88,56 @@ def format_block(mask: int) -> str:
     return "{" + ",".join(str(x) for x in labels_from_mask(mask)) + "}"
 
 
-def _complete(v: int, masks: np.ndarray, top: np.ndarray, r: int) -> np.ndarray:
-    """Every completion of each prefix by r more elements above its largest
-    element top (-1 for the empty prefix), prefixes in the given order and
-    each prefix's completions in lexicographic order of label tuples.
+def _lex(m: int, r: int, memo: dict) -> np.ndarray:
+    """The r-subsets of {0..m-1}, 0 <= r <= m, as uint64 masks in
+    lexicographic order of label tuples, by Pascal's rule
+    C(m, r) = C(m-1, r-1) + C(m-1, r) (Knuth, TAOCP 4A, 7.2.1.3): the sets
+    holding 0, then those without it, each a table on {0..m-2} shifted up
+    one place.  `memo` keeps every table built, so each is built once."""
+    table = memo.get((m, r))
+    if table is None:
+        if r == 0 or r == m:
+            table = np.array([(1 << r) - 1], dtype=np.uint64)
+        elif r == 1:
+            table = np.uint64(1) << np.arange(m, dtype=np.uint64)
+        else:
+            with_0 = _lex(m - 1, r - 1, memo)
+            table = np.concatenate((with_0, _lex(m - 1, r, memo))) << np.uint64(1)
+            table[: with_0.size] |= np.uint64(1)
+        memo[m, r] = table
+    return table
 
-    Prefix extension (Knuth, TAOCP 4A, 7.2.1.3): step i repeats each prefix
-    once per admissible next element, from one above its largest element up
-    to v-r+i, so every prefix built can still be completed and no step holds
-    more masks than the result.
-    """
-    for i in range(r):
-        reps = (v - r + i) - top
-        first = np.repeat(np.cumsum(reps) - reps, reps)
-        top = np.repeat(top, reps) + 1 + (np.arange(first.size) - first)
-        masks = np.repeat(masks, reps) | (np.uint64(1) << top.astype(np.uint64))
-    return masks
 
-
-def _chunks(v: int, prefix: int, top: int, r: int, limit: int) -> Iterator[np.ndarray]:
-    """level_chunks below one prefix: its completions by r more elements."""
-    if comb(v - 1 - top, r) <= limit:
-        yield _complete(v, np.array([prefix], dtype=np.uint64), np.array([top]), r)
-        return
-    # the next element a splits the range into C(v-1-a, r-1) completions
-    # each, falling as a rises: the large ones are split again, and runs of
-    # small siblings share a piece so that pieces stay few
-    a = top + 1
-    while comb(v - 1 - a, r - 1) > limit:
-        yield from _chunks(v, prefix | 1 << a, a, r - 1, limit)
-        a += 1
-    while a <= v - r:
-        end, total = a, 0
-        while end <= v - r and total + comb(v - 1 - end, r - 1) <= limit:
-            total += comb(v - 1 - end, r - 1)
-            end += 1
-        heads = np.arange(a, end)
-        masks = np.uint64(prefix) | np.uint64(1) << heads.astype(np.uint64)
-        yield _complete(v, masks, heads, r - 1)
-        a = end
+def _walk(v: int, prefix: int, low: int, r: int, limit: int, memo: dict) -> Iterator[np.ndarray]:
+    """The completions of `prefix` by r elements of {low..v-1}, in
+    lexicographic order, as tables of at most `limit` masks: one _lex table
+    when they fit, else those taking element low, then those skipping it."""
+    if comb(v - low, r) <= limit:
+        yield _lex(v - low, r, memo) << np.uint64(low) | np.uint64(prefix)
+    else:
+        yield from _walk(v, prefix | 1 << low, low + 1, r - 1, limit, memo)
+        yield from _walk(v, prefix, low + 1, r, limit, memo)
 
 
 def level_chunks(v: int, n: int, limit: int) -> Iterator[np.ndarray]:
     """Every n-subset of {1..v} as uint64 masks in lexicographic order of
-    label tuples, yielded in consecutive pieces of at most `limit` masks.
-
-    Pieces are the completions of a fixed prefix, or of a run of sibling
-    prefixes; a prefix with more than `limit` completions is split by its
-    next element in turn, so the state held is one prefix per depth.
-    """
-    if 0 <= n <= v:
-        yield from _chunks(v, 0, -1, n, limit)
+    label tuples, in consecutive pieces of at most `limit` masks: the tables
+    of _walk, which holds one prefix per depth, joined while they fit."""
+    if not 0 <= n <= v:
+        return
+    run: list[np.ndarray] = []
+    for table in _walk(v, 0, 0, n, limit, {}):
+        if sum(map(len, run)) + table.size > limit:
+            piece, run = np.concatenate(run), []
+            yield piece
+        run.append(table)
+    yield np.concatenate(run)
 
 
 def level_masks(v: int, n: int) -> np.ndarray:
     """Every n-subset of {1..v} as a uint64 mask, in lexicographic order of
-    label tuples (not ascending mask order: {1,4} precedes {2,3}): the
-    pieces of level_chunks joined, which with no limit is one piece."""
-    return next(level_chunks(v, n, 1 << 64), np.zeros(0, dtype=np.uint64))
+    label tuples (not ascending mask order: {1,4} precedes {2,3})."""
+    return _lex(v, n, {}) if 0 <= n <= v else np.zeros(0, dtype=np.uint64)
 
 
 def subsets_of_size(v: int, n: int) -> Iterator[int]:

@@ -148,8 +148,10 @@ def detect_params(masks: tuple[int, ...], v: int) -> tuple[Optional[DesignParams
     if k == 0:
         return None, "the empty set is not a block of any design"
     bits = np.arange(v, dtype=np.uint64)[:, None]
-    incidence = (arr >> bits) & np.uint64(1)  # element x block
-    gram = incidence @ incidence.T  # entry (x, y): blocks holding both x and y
+    incidence = ((arr >> bits) & np.uint64(1)).astype(np.float64)  # element x block
+    # entry (x, y): blocks holding both x and y, a BLAS product that is exact
+    # in float64 while counts stay below 2^53
+    gram = (incidence @ incidence.T).astype(np.int64)
     counts = gram.diagonal()
     if counts.min() != counts.max():
         lo, hi = int(counts.argmin()), int(counts.argmax())

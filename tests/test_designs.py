@@ -1,7 +1,10 @@
+import gc
 import tracemalloc
+from collections import deque
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -17,12 +20,14 @@ from blockfriends import (
     fano,
     full_design,
     nine_point_design,
+    profile,
     sts13_s1,
     sts13_s2,
     subsets_of_size,
     whole_design,
 )
-from blockfriends.blocks import level_chunks, level_masks
+from blockfriends.blocks import as_mask, level_chunks, level_masks
+from blockfriends.profiles import CHUNK_CELLS
 from oracle_util import BruteBlockError, brute_blocks, brute_detect, brute_labels, labels
 
 
@@ -109,12 +114,15 @@ def test_subsets_of_size_matches_combinations():
 
 def test_level_chunks_match_combinations():
     """The pieces of level_chunks, joined, are the level in lexicographic
-    order, equal to level_masks, and none exceeds the limit."""
-    for v in range(15):
-        for n in range(v + 2):
+    order, equal to level_masks, and none exceeds the limit; on 64 points
+    too, where tables are shifted into bit 63."""
+    cases = [(v, range(v + 2), (1, 2, 7, 64, 1 << 40)) for v in range(15)]
+    cases.append((64, (0, 1, 2, 3, 62, 63, 64), (1, 5, 1000)))
+    for v, ns, limits in cases:
+        for n in ns:
             want = [sum(1 << i for i in idx) for idx in combinations(range(v), n)]
             assert level_masks(v, n).tolist() == want
-            for limit in (1, 2, 7, 64, 1 << 40):
+            for limit in limits:
                 pieces = list(level_chunks(v, n, limit))
                 assert all(0 < p.size <= limit for p in pieces)
                 assert [m for p in pieces for m in p.tolist()] == want
@@ -132,6 +140,45 @@ def test_level_chunks_state_is_bounded():
     assert 0 < first.size <= 8456
     assert first[0] == (1 << 15) - 1
     assert peak < 8 << 20
+
+
+def test_level_chunks_release_their_tables():
+    """An exhausted level_chunks leaves none of its tables behind, even
+    with the cyclic collector off: no reference cycle holds them."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        deque(level_chunks(21, 10, 12483), maxlen=0)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert current < 64 << 10
+
+
+def test_level_chunks_join_small_tables():
+    """Neighbouring tables are joined while they fit, so a level comes in
+    at most twice the fewest pieces of the limit."""
+    for v, n in ((57, 4), (57, 5), (64, 4)):
+        limit = CHUNK_CELLS // v
+        pieces = sum(1 for _ in level_chunks(v, n, limit))
+        assert pieces <= 2 * -(-comb(v, n) // limit)
+
+
+def test_numpy_integers_read_as_python_ints():
+    """Masks and labels given as numpy integers build what Python ints
+    build, stored as Python ints, and fail with the same text."""
+    masks = level_masks(7, 3)
+    assert family(7, masks).blocks == family(7, masks.tolist()).blocks
+    assert {type(m) for m in family(7, masks).blocks} == {int}
+    assert design(7, np.array(fano().blocks, dtype=np.uint64)).blocks == fano().blocks
+    assert profile(fano(), np.uint64(7)) == profile(fano(), 7)
+    wide = family(64, [np.array([1, 64]), np.array([2, 63])])
+    assert wide.blocks == family(64, [(1, 64), (2, 63)]).blocks
+    assert _outcome(as_mask, np.uint64(1 << 7), 7) == _outcome(as_mask, 1 << 7, 7)
+    assert _outcome(design, 7, [1, np.uint64(1 << 7)]) == (
+        "ValueError", "mask 0x80 not within ground set of size 7"
+    )
 
 
 def test_degenerate_designs():
