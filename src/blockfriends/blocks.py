@@ -34,7 +34,10 @@ def mask_from_labels(labels: Iterable[int], v: int | None = None) -> int:
 
 
 def labels_from_mask(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based labels of a mask."""
+    """Sorted 1-based labels of a mask (any integer, read as a Python int)."""
+    mask = index(mask)
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask

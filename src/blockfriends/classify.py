@@ -15,7 +15,9 @@ from math import comb
 import numpy as np
 
 from .blocks import SWEEP_LIMIT, full_mask, level_chunks
-from .designs import BlockDesign, DesignError, DesignParams, complement_params, detect_params
+from .designs import (
+    BlockDesign, DesignError, DesignParams, complement_params, detect_params, frozen_masks
+)
 from .families import power_set_owner
 from .friendship import are_friends, friends_matrix
 from .profiles import CHUNK_CELLS, IntersectionProfile, intersection_sizes, profile_rows
@@ -26,17 +28,22 @@ from .profiles import CHUNK_CELLS, IntersectionProfile, intersection_sizes, prof
 COUNTS_ONLY_LIMIT = 31
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetClass:
-    """All n-subsets sharing one intersection profile against the parent."""
+    """All n-subsets sharing one intersection profile against the parent.
+    Classes compare by identity: their members are an array."""
 
     v: int
     n: int
     signature: IntersectionProfile
     size: int
-    members: tuple[int, ...] | None  # lexicographic by label tuple; None if dropped
+    members: np.ndarray | None  # read-only uint64, lexicographic by label tuple; None if dropped
     params: DesignParams | None
     witness: str
+
+    def __post_init__(self):
+        if self.members is not None:
+            object.__setattr__(self, "members", frozen_masks(self.members))
 
     def to_family(self, name: str = "") -> BlockDesign:
         if self.members is None:
@@ -191,7 +198,7 @@ def classify_level(
                 entry = table[key] = [0, first, []]
             entry[0] += hi - lo
             if keep_members:
-                entry[2] += subs[lo:hi].tolist()
+                entry[2].append(subs[lo:hi])
     rows = [table[key] for key in sorted(table)]  # key order is signature order
     firsts = np.array([first for _, first, _ in rows], dtype=np.uint64)
     sigs = profile_rows(intersection_sizes(firsts, parent.blocks), parent.k)
@@ -199,7 +206,7 @@ def classify_level(
     for sig_row, (size, _, members) in zip(sigs.tolist(), rows):
         sig = IntersectionProfile(tuple(sig_row), n)
         if keep_members:
-            members = tuple(members)
+            members = np.concatenate(members)
             params, witness = detect_params(members, v)
         else:
             members, (params, witness) = None, (None, "members not retained")
@@ -222,7 +229,7 @@ def _derive_complement_level(
         sig = IntersectionProfile(tuple(reversed(cls.signature.z)), v - cls.n)
         members, params, witness = None, cls.params, cls.witness
         if cls.members is not None:
-            members = tuple((fm ^ np.array(cls.members[::-1], dtype=np.uint64)).tolist())
+            members = fm ^ cls.members[::-1]
             params, witness = (
                 (complement_params(cls.params), "") if cls.params
                 else detect_params(members, v)

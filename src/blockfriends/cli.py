@@ -243,7 +243,7 @@ def cmd_classify(args) -> int:
             for j, cls in enumerate(classes):
                 if cls.members is None:
                     continue
-                if cls.members == (0,):
+                if n == 0:
                     print(
                         "note: skipping n=0 class (empty set has no file form)",
                         file=sys.stderr,

@@ -1,14 +1,14 @@
 """Block designs on {1..v}: parameter checks, detection, construction, complements.
 
-A design is stored as a ground-set size plus a tuple of bitmask blocks.
-Two designs are equal when they have the same ground set and the same set
-of blocks; block order is preserved for storage but ignored by equality.
+A design is stored as a ground-set size plus its bitmask blocks, one
+read-only uint64 array from parse to kernel.  Two designs are equal when
+they have the same ground set and the same set of blocks; block order is
+preserved for storage but ignored by equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
@@ -19,8 +19,9 @@ from .blocks import (
     format_block,
     full_mask,
     labels_from_mask,
+    later_copies,
+    level_masks,
     MAX_GROUND,
-    subsets_of_size,
 )
 
 
@@ -49,6 +50,17 @@ def admissible(p: DesignParams) -> bool:
     return p.b * p.k == p.v * p.r and p.r * (p.k - 1) == p.lam * (p.v - 1)
 
 
+def frozen_masks(masks) -> np.ndarray:
+    """The masks as a read-only uint64 array: the input itself when it is
+    one already, else a copy, so a caller's writable array is never frozen
+    or shared."""
+    if isinstance(masks, np.ndarray) and masks.dtype == np.uint64 and not masks.flags.writeable:
+        return masks
+    out = np.array(masks, dtype=np.uint64)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class BlockDesign:
     """A simple family of equal-sized blocks, with BIBD parameters when they hold.
@@ -60,9 +72,12 @@ class BlockDesign:
     """
 
     v: int
-    blocks: tuple[int, ...]
+    blocks: np.ndarray  # read-only uint64 masks in stored order
     params: Optional[DesignParams]
     name: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", frozen_masks(self.blocks))
 
     @property
     def b(self) -> int:
@@ -70,7 +85,7 @@ class BlockDesign:
 
     @property
     def k(self) -> int:
-        return self.blocks[0].bit_count()
+        return int(self.blocks[0]).bit_count()
 
     @property
     def is_degenerate(self) -> bool:
@@ -81,45 +96,41 @@ class BlockDesign:
         return self.params is not None or self.is_degenerate
 
     def block_labels(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(labels_from_mask(m) for m in self.blocks)
+        return tuple(labels_from_mask(m) for m in self.blocks.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockDesign):
             return NotImplemented
-        return self.v == other.v and frozenset(self.blocks) == frozenset(other.blocks)
+        return self.v == other.v and np.array_equal(np.sort(self.blocks), np.sort(other.blocks))
 
     def __hash__(self) -> int:
-        return hash((self.v, frozenset(self.blocks)))
+        return hash((self.v, np.sort(self.blocks).tobytes()))
 
     def __repr__(self) -> str:
         tag = self.name or f"{self.b} blocks"
         return f"BlockDesign(v={self.v}, {tag}, params={self.params})"
 
 
-def _normalize_blocks(blocks: Iterable, v: int) -> tuple[int, ...]:
-    """The blocks as a tuple of masks, checked in input order: the first
-    block that is out of range, has bad labels or repeats an earlier block
-    raises.  Distinct int masks of subsets of 1..v, as a parsed file gives
-    them, are returned as they are."""
+def _normalize_blocks(blocks: Iterable, v: int) -> np.ndarray:
+    """The blocks as uint64 masks, checked in input order: the first block
+    that is out of range, has bad labels or repeats an earlier block raises.
+    A uint64 array of distinct masks of subsets of 1..v, as a parsed file
+    gives it, is checked in bulk and returned as it is."""
     if not 1 <= v <= MAX_GROUND:
         raise DesignError(f"ground set size {v} outside 1..{MAX_GROUND}")
+    if isinstance(blocks, np.ndarray) and blocks.dtype == np.uint64 and blocks.ndim == 1:
+        if blocks.size and not (blocks >> v).any() and not later_copies(blocks).any():
+            return blocks
     masks = tuple(blocks)
     if not masks:
         raise DesignError("a block family needs at least one block")
-    if (
-        all(map(isinstance, masks, repeat(int)))
-        and min(masks) >= 0
-        and not max(masks) >> v
-        and len(set(masks)) == len(masks)
-    ):
-        return masks
     seen: dict[int, None] = {}  # keeps the masks in input order
     for block in masks:
         m = as_mask(block, v)
         if m in seen:
             raise DesignError(f"duplicate block {format_block(m)}")
         seen[m] = None
-    return tuple(seen)
+    return np.fromiter(seen, dtype=np.uint64, count=len(seen))
 
 
 def detect_design(blocks, v: int) -> tuple[Optional[DesignParams], str]:
@@ -133,11 +144,10 @@ def detect_design(blocks, v: int) -> tuple[Optional[DesignParams], str]:
     return detect_params(_normalize_blocks(blocks, v), v)
 
 
-def detect_params(masks: tuple[int, ...], v: int) -> tuple[Optional[DesignParams], str]:
-    """detect_design for masks already known to be distinct and within
-    1..v, such as those of a BlockDesign: nothing is validated again."""
-    arr = np.array(masks, dtype=np.uint64)
-    sizes = np.bitwise_count(arr)
+def detect_params(masks: np.ndarray, v: int) -> tuple[Optional[DesignParams], str]:
+    """detect_design for uint64 masks already known to be distinct and
+    within 1..v, such as those of a BlockDesign: nothing is validated again."""
+    sizes = np.bitwise_count(masks)
     if sizes.min() != sizes.max():
         i, j = int(sizes.argmin()), int(sizes.argmax())
         return None, (
@@ -148,7 +158,7 @@ def detect_params(masks: tuple[int, ...], v: int) -> tuple[Optional[DesignParams
     if k == 0:
         return None, "the empty set is not a block of any design"
     bits = np.arange(v, dtype=np.uint64)[:, None]
-    incidence = ((arr >> bits) & np.uint64(1)).astype(np.float64)  # element x block
+    incidence = ((masks >> bits) & np.uint64(1)).astype(np.float64)  # element x block
     # entry (x, y): blocks holding both x and y, a BLAS product that is exact
     # in float64 while counts stay below 2^53
     gram = (incidence @ incidence.T).astype(np.int64)
@@ -162,22 +172,24 @@ def detect_params(masks: tuple[int, ...], v: int) -> tuple[Optional[DesignParams
     r = int(counts[0])
     if k == 1:
         return DesignParams(v, len(masks), r, 1, 0), ""
+    lam = int(gram[0, 1])
+    np.fill_diagonal(gram, lam)  # so the pairs agree iff every entry is lam
+    if (gram == lam).all():
+        return DesignParams(v, len(masks), r, k, lam), ""
     xs, ys = np.triu_indices(v, 1)  # pairs x < y in lexicographic order
     lams = gram[xs, ys]
     lo, hi = int(lams.argmin()), int(lams.argmax())
-    if lams[lo] != lams[hi]:
-        return None, (
-            f"pair {{{xs[lo] + 1},{ys[lo] + 1}}} in {lams[lo]} blocks, "
-            f"pair {{{xs[hi] + 1},{ys[hi] + 1}}} in {lams[hi]}"
-        )
-    return DesignParams(v, len(masks), r, k, int(lams[0])), ""
+    return None, (
+        f"pair {{{xs[lo] + 1},{ys[lo] + 1}}} in {lams[lo]} blocks, "
+        f"pair {{{xs[hi] + 1},{ys[hi] + 1}}} in {lams[hi]}"
+    )
 
 
 def design(v: int, blocks, name: str = "") -> BlockDesign:
     """Build a validated design; raises DesignError with a witness if axioms fail."""
     masks = _normalize_blocks(blocks, v)
     params, witness = detect_params(masks, v)
-    if params is None and masks != (0,):  # the empty-block design is degenerate
+    if params is None and masks.any():  # the empty-block design is degenerate
         raise DesignError(f"not a block design: {witness}")
     return BlockDesign(v, masks, params, name)
 
@@ -185,7 +197,7 @@ def design(v: int, blocks, name: str = "") -> BlockDesign:
 def family(v: int, blocks, name: str = "") -> BlockDesign:
     """Build a raw family of distinct equal-sized blocks; params attach only if valid."""
     masks = _normalize_blocks(blocks, v)
-    sizes = np.unique(np.bitwise_count(np.array(masks, dtype=np.uint64)))
+    sizes = np.unique(np.bitwise_count(masks))
     if sizes.size != 1:
         raise DesignError(f"block sizes differ: {sizes.tolist()}")
     return BlockDesign(v, masks, detect_params(masks, v)[0], name)
@@ -216,7 +228,7 @@ def full_design(v: int, k: int, name: str | None = None) -> BlockDesign:
     else:
         lam = comb(v - 2, k - 2) if k >= 2 else 0
         params = DesignParams(v, comb(v, k), comb(v - 1, k - 1), k, lam)
-        d = BlockDesign(v, tuple(subsets_of_size(v, k)), params, f"full-{k}")
+        d = BlockDesign(v, level_masks(v, k), params, f"full-{k}")
     if name is not None:
         d = BlockDesign(d.v, d.blocks, d.params, name)
     return d
@@ -226,8 +238,7 @@ def complement_design(d: BlockDesign, name: str | None = None) -> BlockDesign:
     """Replace every block by its set complement in V, preserving block order."""
     if d.k > d.v - 1:
         raise DesignError("cannot complement the whole-set design")
-    fm = full_mask(d.v)
-    masks = tuple(fm ^ m for m in d.blocks)
+    masks = np.uint64(full_mask(d.v)) ^ d.blocks
     if name is None:
         name = f"{d.name}-complement" if d.name else ""
     out = BlockDesign(d.v, masks, detect_params(masks, d.v)[0], name)

@@ -159,7 +159,7 @@ def power_set_owner(v: int, designs) -> np.ndarray | None:
         return None
     owner = np.full(1 << v, -1, dtype=np.int32)
     for i, d in enumerate(designs):
-        owner[np.fromiter(d.blocks, dtype=np.int64, count=d.b)] = i
+        owner[d.blocks] = i
     return None if (owner < 0).any() else owner
 
 

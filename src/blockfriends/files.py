@@ -52,7 +52,7 @@ def _ground_size(lineno: int, header: str) -> int:
     return v
 
 
-def _parse(text: str) -> tuple[int, list[int]]:
+def _parse(text: str) -> tuple[int, np.ndarray]:
     linenos, data = _data_lines(text)
     v_declared = None
     if data and data[0].startswith("v="):
@@ -99,7 +99,7 @@ def _parse(text: str) -> tuple[int, list[int]]:
         except ValueError as exc:
             raise DesignFileError(linenos[r], str(exc)) from None
         raise DesignFileError(linenos[r], f"duplicate block {stripped_labels(row)}")
-    return v, masks.tolist()
+    return v, masks
 
 
 def stripped_labels(labels) -> str:

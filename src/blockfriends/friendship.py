@@ -73,12 +73,10 @@ def are_friends(d1: BlockDesign, d2: BlockDesign) -> FriendshipVerdict:
     common = []
     # side 1: d1 probed by each block of d2; side 2: d2 probed by each block of d1
     for side, (d, other) in enumerate(((d1, d2), (d2, d1)), start=1):
-        blocks = np.asarray(d.blocks, dtype=np.uint64)
-        probes = np.asarray(other.blocks, dtype=np.uint64)
         step = max(1, CHUNK_CELLS // d.b)
-        first = profile_rows(intersection_sizes(probes[:1], blocks), d.k)[0]
-        for lo in range(0, probes.size, step):
-            rows = profile_rows(intersection_sizes(probes[lo : lo + step], blocks), d.k)
+        first = profile_rows(intersection_sizes(other.blocks[:1], d.blocks), d.k)[0]
+        for lo in range(0, other.b, step):
+            rows = profile_rows(intersection_sizes(other.blocks[lo : lo + step], d.blocks), d.k)
             differ = np.flatnonzero((rows != first).any(axis=1))
             if differ.size:
                 witness = ProfileMismatch(side, 0, lo + int(differ[0]))
@@ -136,13 +134,12 @@ def constant_profiles(fams: list[BlockDesign], owner: np.ndarray | None) -> np.n
     rank = np.bitwise_count(np.arange(1 << v, dtype=np.uint64))
     # of_rank[t] = the t-subsets, so a ranked column copies only their rows
     of_rank = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
-    blocks = [np.fromiter(d.blocks, dtype=np.int64, count=d.b) for d in fams]
-    order = np.concatenate(blocks)  # the blocks of each family in turn
+    order = np.concatenate([d.blocks for d in fams])  # the blocks of each family in turn
     starts = np.cumsum([0] + [d.b for d in fams[:-1]])
     source = [-1] * n  # source[a] = c when row a is copied from row c
     if owner is not None:
         for a, d in enumerate(fams):
-            partners = owner[full_mask(v) ^ blocks[a]]
+            partners = owner[full_mask(v) ^ d.blocks]
             c = int(partners[0])
             if c < a and fams[c].b == d.b and (partners == c).all():
                 source[a] = c
@@ -154,7 +151,7 @@ def constant_profiles(fams: list[BlockDesign], owner: np.ndarray | None) -> np.n
         dtype = np.result_type(*(_moment_dtype(fams[a].b, fams[a].k) for a in members))
         f = np.zeros((1 << v, len(members)), dtype=dtype)
         for col, a in enumerate(members):
-            f[blocks[a], col] = 1
+            f[fams[a].blocks, col] = 1
         subset_sums(f, v, supersets=True)
         # ranked column (a, col, t): f_a, column col of f, on the t-subsets
         ranked = [(a, col, t) for col, a in enumerate(members) for t in range(1, fams[a].k + 1)]

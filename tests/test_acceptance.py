@@ -248,8 +248,8 @@ def test_criterion_7_property_batteries():
         parent = rng.choice(parents)
         sub = classify_all(parent, threads=rng.randrange(1, 7))
         assert [
-            (c.signature, c.size, c.members) for lv in sub.levels for c in lv
-        ] == [(c.signature, c.size, c.members)
+            (c.signature, c.size, c.members.tolist()) for lv in sub.levels for c in lv
+        ] == [(c.signature, c.size, c.members.tolist())
               for lv in base[parent.name].levels for c in lv]
 
     dt = time.perf_counter() - t0

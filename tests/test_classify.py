@@ -123,7 +123,8 @@ def test_classify_all_matches_fano_family():
 
 
 def _class_facts(classes):
-    return [(c.signature, c.size, c.params, c.witness, c.members) for c in classes]
+    return [(c.signature, c.size, c.params, c.witness,
+             None if c.members is None else c.members.tolist()) for c in classes]
 
 
 def test_complement_shortcut_cross_check():
@@ -161,8 +162,8 @@ def test_determinism_across_thread_counts():
     for threads in (2, 4):
         other = classify_all(fano(), threads=threads)
         assert [
-            (c.signature, c.size, c.members) for lv in base.levels for c in lv
-        ] == [(c.signature, c.size, c.members) for lv in other.levels for c in lv]
+            (c.signature, c.size, c.members.tolist()) for lv in base.levels for c in lv
+        ] == [(c.signature, c.size, c.members.tolist()) for lv in other.levels for c in lv]
 
 
 def test_counts_only_mode():
@@ -321,7 +322,8 @@ def test_exact_keys_when_base_overflows_int64():
 
 def test_members_in_label_tuple_order_not_mask_order():
     (cls,) = classify_level(full_design(4, 1), 2)
-    assert cls.members.index(0b1001) < cls.members.index(0b0110)  # {1,4}, {2,3}
+    members = cls.members.tolist()
+    assert members.index(0b1001) < members.index(0b0110)  # {1,4}, {2,3}
 
 
 def _as_oracle(classes):
@@ -400,6 +402,19 @@ def test_counts_only_memory_is_flat(parent, n):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_members_mode_memory():
+    """The 2^21 members of PG(2,4), kept as uint64 arrays, hold 16 MB; as
+    Python ints they held 72 MB."""
+    tracemalloc.start()
+    try:
+        sub = classify_all(PG24)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(c.size for lv in sub.levels for c in lv) == 1 << 21
+    assert current < 24 << 20 and peak < 56 << 20
 
 
 @pytest.mark.parametrize("keep_members", [False, True])

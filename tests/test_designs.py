@@ -26,7 +26,8 @@ from blockfriends import (
     subsets_of_size,
     whole_design,
 )
-from blockfriends.blocks import as_mask, level_chunks, level_masks
+from blockfriends.blocks import as_mask, labels_from_mask, level_chunks, level_masks
+from blockfriends.classify import classify_level
 from blockfriends.profiles import CHUNK_CELLS
 from oracle_util import BruteBlockError, brute_blocks, brute_detect, brute_labels, labels
 
@@ -167,14 +168,19 @@ def test_level_chunks_join_small_tables():
 
 def test_numpy_integers_read_as_python_ints():
     """Masks and labels given as numpy integers build what Python ints
-    build, stored as Python ints, and fail with the same text."""
+    build, stored as uint64, and fail with the same text."""
     masks = level_masks(7, 3)
-    assert family(7, masks).blocks == family(7, masks.tolist()).blocks
-    assert {type(m) for m in family(7, masks).blocks} == {int}
-    assert design(7, np.array(fano().blocks, dtype=np.uint64)).blocks == fano().blocks
+    assert np.array_equal(family(7, masks).blocks, family(7, masks.tolist()).blocks)
+    assert family(7, masks).blocks.dtype == np.uint64
+    assert np.array_equal(design(7, np.array(fano().blocks, dtype=np.uint64)).blocks, fano().blocks)
     assert profile(fano(), np.uint64(7)) == profile(fano(), 7)
     wide = family(64, [np.array([1, 64]), np.array([2, 63])])
-    assert wide.blocks == family(64, [(1, 64), (2, 63)]).blocks
+    assert np.array_equal(wide.blocks, family(64, [(1, 64), (2, 63)]).blocks)
+    assert labels_from_mask(np.uint64(5)) == labels_from_mask(5) == (1, 3)
+    for blocks, v in (([(1, 2), (3, 4), (1, 3), (2, 4)], 4), ([(1, 2), (1, 3)], 4),
+                      ([(1, 2, 3), (1, 2)], 7), (fano().block_labels(), 7)):
+        masks = [as_mask(b) for b in blocks]
+        assert detect_design(np.array(masks, dtype=np.uint64), v) == detect_design(masks, v)
     assert _outcome(as_mask, np.uint64(1 << 7), 7) == _outcome(as_mask, 1 << 7, 7)
     assert _outcome(design, 7, [1, np.uint64(1 << 7)]) == (
         "ValueError", "mask 0x80 not within ground set of size 7"
@@ -229,6 +235,30 @@ def test_family_constructor_keeps_raw():
         family(4, [(1, 2, 3), (1, 2)])
 
 
+def test_labels_from_mask_rejects_negative_masks():
+    """A negative int has no finite set of bits; it raises, not loops."""
+    with pytest.raises(ValueError, match="negative mask -1"):
+        labels_from_mask(-1)
+
+
+def test_blocks_are_read_only_and_never_alias_the_input():
+    """Blocks and class members are read-only uint64 arrays; a caller's
+    writable array is copied, stays writable, and later edits to it leave
+    the design alone.  A read-only array is taken as it is."""
+    with pytest.raises(ValueError, match="read-only"):
+        fano().blocks[0] = 0
+    cls = classify_level(fano(), 3)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        cls.members[0] = 0
+    assert cls.to_family().blocks is cls.members
+    for build in (design, family):
+        masks = np.array(fano().blocks)
+        d = build(7, masks)
+        assert masks.flags.writeable and not np.shares_memory(masks, d.blocks)
+        masks[0] = 0b1111
+        assert d == fano() and d.blocks[0] == fano().blocks[0]
+
+
 def test_equality_ignores_order_and_name():
     a = design(7, [(2, 3, 5), (3, 4, 6), (4, 5, 7), (1, 5, 6),
                    (2, 6, 7), (1, 3, 7), (1, 2, 4)], name="x")
@@ -279,12 +309,12 @@ def _check_block_list(v, blocks):
     assert detect_design(blocks, v)[0] == params
     kind, fam = _outcome(family, v, blocks)
     if len({len(r) for r in rows}) == 1:
-        assert kind == "ok" and fam.blocks == masks and fam.params == params
+        assert kind == "ok" and tuple(fam.blocks.tolist()) == masks and fam.params == params
     else:
         assert kind == "DesignError" and fam.startswith("block sizes differ")
     kind, d = _outcome(design, v, blocks)
     if params is not None or masks == (0,):
-        assert kind == "ok" and d.blocks == masks and d.params == params
+        assert kind == "ok" and tuple(d.blocks.tolist()) == masks and d.params == params
     else:
         assert kind == "DesignError" and d.startswith("not a block design: ")
 

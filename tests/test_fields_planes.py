@@ -102,4 +102,4 @@ def test_plane_order2_self_profile():
 def test_plane_construction_deterministic():
     a = projective_plane(prime_field(3))
     b = projective_plane(prime_field(3))
-    assert a.blocks == b.blocks
+    assert a.blocks.tolist() == b.blocks.tolist()

@@ -141,7 +141,7 @@ def _outcome(parse, text):
         v, masks = parse(text)
     except (DesignFileError, BruteParseError) as exc:
         return "error", exc.line, str(exc)
-    return v, masks
+    return v, list(map(int, masks))  # _parse gives a uint64 array, the oracle ints
 
 
 @given(design_texts())

@@ -176,8 +176,8 @@ def test_classification_deterministic_across_threads(parent, threads):
     sub = classify_all(parent, threads=threads)
     base = DETERMINISM_BASE[parent.name]
     assert [
-        (c.signature, c.size, c.members) for lv in sub.levels for c in lv
-    ] == [(c.signature, c.size, c.members) for lv in base.levels for c in lv]
+        (c.signature, c.size, c.members.tolist()) for lv in sub.levels for c in lv
+    ] == [(c.signature, c.size, c.members.tolist()) for lv in base.levels for c in lv]
 
 
 @MANY
