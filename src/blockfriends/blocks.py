@@ -12,6 +12,9 @@ MAX_GROUND = 64
 # the most points on which a whole-power-set pass (a sweep that keeps its
 # members, a subset-lattice transform) runs: 2^24 cells
 SWEEP_LIMIT = 24
+# cells per piece of a walk (intersection sizes, incidences: about 2 MB as
+# int64 or float64), and the most uint64 cells of classify_level's count table
+CHUNK_CELLS = 1 << 18
 
 
 def full_mask(v: int) -> int:

@@ -14,13 +14,13 @@ from math import comb
 
 import numpy as np
 
-from .blocks import SWEEP_LIMIT, full_mask, level_chunks
+from .blocks import CHUNK_CELLS, SWEEP_LIMIT, full_mask, level_chunks
 from .designs import (
     BlockDesign, DesignError, DesignParams, complement_params, detect_params, frozen_masks
 )
 from .families import power_set_owner
-from .friendship import are_friends, friends_matrix
-from .profiles import CHUNK_CELLS, IntersectionProfile, intersection_sizes, profile_rows
+from .friendship import are_friends, complement_transfer, friends_matrix
+from .profiles import IntersectionProfile, intersection_sizes, profile_rows
 
 # a counts-only sweep holds one chunk and the class table, not the level, so
 # it takes levels of up to 2^COUNTS_ONLY_LIMIT subsets and classify_all takes
@@ -226,7 +226,7 @@ def _derive_complement_level(
     fm = np.uint64(full_mask(v))
     derived = []
     for cls in source:
-        sig = IntersectionProfile(tuple(reversed(cls.signature.z)), v - cls.n)
+        sig = complement_transfer(cls.signature, cls.signature.k, v)
         members, params, witness = None, cls.params, cls.witness
         if cls.members is not None:
             members = fm ^ cls.members[::-1]
@@ -297,8 +297,7 @@ def analyze(sub: Subdivision) -> SubdivisionReport:
         keys.append((n, j))
         designs_flags.append(cls.params is not None or n == 0 or n == v)
 
-    owner = power_set_owner(v, fams)
-    matrix = friends_matrix(fams, owner)
+    matrix = friends_matrix(fams)
     unfriendly = np.triu(~matrix, 1)  # distinct pairs that are not friends
     level_of = np.array([n for n, _ in keys])
     family_friendly = not unfriendly.any()
@@ -310,7 +309,7 @@ def analyze(sub: Subdivision) -> SubdivisionReport:
         tuple(map(tuple, matrix.tolist())),
         tuple(not unfriendly[np.ix_(level_of == n, level_of == n)].any() for n in range(v + 1)),
         family_friendly,
-        owner is not None,
+        power_set_owner(v, fams) is not None,
         all(designs_flags) and family_friendly,
     )
 

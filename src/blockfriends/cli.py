@@ -52,7 +52,7 @@ def _params_json(d: BlockDesign):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # drops one leading BOM
     except UnicodeDecodeError as exc:
         raise DesignError(f"{path}: {exc}") from exc
 

@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .blocks import (
+    CHUNK_CELLS,
     as_mask,
     format_block,
     full_mask,
@@ -157,11 +158,16 @@ def detect_params(masks: np.ndarray, v: int) -> tuple[Optional[DesignParams], st
     k = int(sizes[0])
     if k == 0:
         return None, "the empty set is not a block of any design"
-    bits = np.arange(v, dtype=np.uint64)[:, None]
-    incidence = ((masks >> bits) & np.uint64(1)).astype(np.float64)  # element x block
-    # entry (x, y): blocks holding both x and y, a BLAS product that is exact
-    # in float64 while counts stay below 2^53
-    gram = (incidence @ incidence.T).astype(np.int64)
+    # entry (x, y): blocks holding both x and y, summed in float64 over pieces
+    # of CHUNK_CELLS // v blocks, each a float32 BLAS product of its block x
+    # element incidences; exact while a piece holds under 2^24 blocks
+    gram = np.zeros((v, v))
+    step = max(1, CHUNK_CELLS // v)
+    for lo in range(0, len(masks), step):
+        piece = np.ascontiguousarray(masks[lo : lo + step], dtype="<u8").view(np.uint8)
+        incidence = np.unpackbits(piece, bitorder="little").reshape(-1, 64)[:, :v].astype(np.float32)
+        gram += incidence.T @ incidence
+    gram = gram.astype(np.int64)
     counts = gram.diagonal()
     if counts.min() != counts.max():
         lo, hi = int(counts.argmin()), int(counts.argmax())

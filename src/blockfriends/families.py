@@ -86,8 +86,7 @@ def build_family(designs) -> FriendlyFamily:
         if key == next_key:
             raise DesignError(f"duplicate member {d.name or i}")
     n = len(members)
-    owner = power_set_owner(v, members)
-    failing = np.argwhere(np.triu(~friends_matrix(members, owner), 1))
+    failing = np.argwhere(np.triu(~friends_matrix(members), 1))
     if failing.size:
         i, j = failing[0].tolist()  # the first failing pair in row order
         witness = are_friends(members[i], members[j]).witness
@@ -102,9 +101,7 @@ def build_family(designs) -> FriendlyFamily:
         for j in range(i + 1, n):
             profiles[(i, j)] = IntersectionProfile(tuple(rows[i][j]), members[j].k)
             profiles[(j, i)] = IntersectionProfile(tuple(rows[j][i]), members[i].k)
-    fam = FriendlyFamily(v, tuple(members), profiles)
-    fam.__dict__["owner"] = owner  # seed the cached property with the array built here
-    return fam
+    return FriendlyFamily(v, tuple(members), profiles)
 
 
 def less_than(f: FriendlyFamily, i: int, j: int) -> bool:

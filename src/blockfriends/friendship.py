@@ -11,8 +11,7 @@ place that picks a kernel: pair by pair, or `constant_profiles`, which runs
 k+1 transforms over the subset lattice per member (Bjorklund, Husfeldt,
 Kaski, Koivisto, "Fourier meets Moebius", STOC 2007), many columns to one
 numpy pass while a block of them fits BLOCK_CELLS, and reads off only
-whether each profile is constant over each other member.  A member made of
-the complements of an earlier member's blocks copies that member's row.
+whether each profile is constant over each other member.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import SWEEP_LIMIT, full_mask, subset_sums
+from .blocks import CHUNK_CELLS, SWEEP_LIMIT, full_mask, subset_sums
 from .designs import BlockDesign, DesignError, full_design
 from .profiles import (
-    CHUNK_CELLS,
     IntersectionProfile,
     intersection_sizes,
     profile_rows,
@@ -100,7 +98,7 @@ def _moment_dtype(b: int, k: int) -> type:
 BLOCK_CELLS = 1 << 16
 
 
-def constant_profiles(fams: list[BlockDesign], owner: np.ndarray | None) -> np.ndarray:
+def constant_profiles(fams: list[BlockDesign]) -> np.ndarray:
     """Which profiles are constant, for every ordered pair of a family on at
     most 32 points.
 
@@ -123,11 +121,6 @@ def constant_profiles(fams: list[BlockDesign], owner: np.ndarray | None) -> np.n
     sum, gathered once at the blocks of every member.  A block boundary may
     fall inside a member's columns.  A block is int64 when any member in it
     needs int64.
-
-    `owner` is power_set_owner of fams, or None.  With it, a member whose
-    blocks are exactly the complements of an earlier member c's blocks
-    copies row c: its blocks meet a k_b-set beta in k_b - |c & beta| points,
-    so its profile is c's reversed and const[a] = const[c].
     """
     v = fams[0].v
     n = len(fams)
@@ -136,15 +129,8 @@ def constant_profiles(fams: list[BlockDesign], owner: np.ndarray | None) -> np.n
     of_rank = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
     order = np.concatenate([d.blocks for d in fams])  # the blocks of each family in turn
     starts = np.cumsum([0] + [d.b for d in fams[:-1]])
-    source = [-1] * n  # source[a] = c when row a is copied from row c
-    if owner is not None:
-        for a, d in enumerate(fams):
-            partners = owner[full_mask(v) ^ d.blocks]
-            c = int(partners[0])
-            if c < a and fams[c].b == d.b and (partners == c).all():
-                source[a] = c
     const = np.ones((n, n), dtype=bool)
-    direct = [a for a in range(n) if source[a] < 0 and fams[a].k > 0]
+    direct = [a for a in range(n) if fams[a].k > 0]
     width = max(1, BLOCK_CELLS >> v)
     for lo in range(0, len(direct), width):
         members = direct[lo : lo + width]
@@ -164,9 +150,6 @@ def constant_profiles(fams: list[BlockDesign], owner: np.ndarray | None) -> np.n
             flat = np.minimum.reduceat(g, starts) == np.maximum.reduceat(g, starts)
             for j, (a, _, _) in enumerate(chunk):
                 const[a] &= flat[:, j]
-    for a, c in enumerate(source):
-        if c >= 0:
-            const[a] = const[c]
     return const
 
 
@@ -180,19 +163,36 @@ def _lattice_pays(fams: list[BlockDesign]) -> bool:
     return v <= SWEEP_LIMIT and (1 << v) * sum(d.k + 1 for d in fams) <= pair_cells
 
 
-def friends_matrix(fams: list[BlockDesign], owner: np.ndarray | None = None) -> np.ndarray:
+def friends_matrix(fams: list[BlockDesign]) -> np.ndarray:
     """Symmetric boolean matrix, true at (i, j) iff fams[i] and fams[j] are
-    friends, diagonal included, from the kernel _lattice_pays picks; `owner`
-    is power_set_owner of fams, or None, as for constant_profiles."""
-    if _lattice_pays(fams):
-        const = constant_profiles(fams, owner)
-        return const & const.T
-    n = len(fams)
-    matrix = np.ones((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i, n):
-            matrix[i, j] = matrix[j, i] = are_friends(fams[i], fams[j]).friends
-    return matrix
+    friends, diagonal included.
+
+    A block x of size k meets the complement of a set y in k - |x & y|
+    points, so complementing a member A reverses its profiles and every
+    profile taken against its blocks: friends(A^c, B) = friends(A, B) for
+    every B, A included.  The kernel _lattice_pays picks runs on one
+    representative per member up to equality and complement, and each
+    member takes its representative's row and column.
+    """
+    full = np.uint64(full_mask(fams[0].v))
+    keys: dict[bytes, int] = {}  # sorted blocks -> index of its representative
+    reps, rep = [], []
+    for d in fams:
+        key = np.sort(d.blocks).tobytes()
+        if key not in keys:
+            keys[key] = keys[np.sort(full ^ d.blocks).tobytes()] = len(reps)
+            reps.append(d)
+        rep.append(keys[key])
+    if _lattice_pays(reps):
+        const = constant_profiles(reps)
+        matrix = const & const.T
+    else:
+        n = len(reps)
+        matrix = np.ones((n, n), dtype=bool)
+        for i in range(n):
+            for j in range(i, n):
+                matrix[i, j] = matrix[j, i] = are_friends(reps[i], reps[j]).friends
+    return matrix[np.ix_(rep, rep)]
 
 
 def check_count_identity(verdict: FriendshipVerdict, b1: int, b2: int) -> bool:

@@ -12,13 +12,8 @@ from math import comb
 
 import numpy as np
 
-from .blocks import as_mask
+from .blocks import CHUNK_CELLS, as_mask  # CHUNK_CELLS stays importable here
 from .designs import BlockDesign, DesignError, DesignParams
-
-# intersection-matrix cells per piece of a classify_level or are_friends walk
-# (about 2 MB as the int64 cells of profile_rows), and the most uint64 cells
-# of classify_level's count table
-CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -457,6 +457,37 @@ def test_non_utf8_field_tables_names_the_file(capsys, tmp_path):
     assert err.startswith("error:") and "tables.bin" in err
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_utf8_bom_design_reads_as_plain(capsys, tmp_path, header):
+    """A design file that starts with a UTF-8 byte order mark verifies as
+    the same file without it, with or without its v= line."""
+    text = save_design(fano()) if header else save_design(fano()).split("\n", 1)[1]
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "bom").mkdir()
+    (tmp_path / "plain" / "fano.design").write_bytes(text.encode())
+    (tmp_path / "bom" / "fano.design").write_bytes(BOM + text.encode())
+    plain = run(capsys, "verify", str(tmp_path / "plain" / "fano.design"))
+    assert plain[0] == 0
+    assert run(capsys, "verify", str(tmp_path / "bom" / "fano.design")) == plain
+
+
+def test_utf8_bom_field_tables_read_as_plain(capsys, tmp_path, monkeypatch):
+    gf4 = (Path(blockfriends.__file__).parent / "data" / "gf4.tables").read_bytes()
+    outputs = []
+    for name, data in (("plain", gf4), ("bom", BOM + gf4)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("gf4.tables").write_bytes(data)
+        result = run(capsys, "pg", "--order", "4", "--field-tables", "gf4.tables",
+                     "-o", "pg4.design")
+        assert result[0] == 0
+        outputs.append((result, Path("pg4.design").read_text()))
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("stem, label", [('fa"no', 'fa\\"no'), ("fa\\no", "fa\\\\no")])
 def test_poset_dot_escapes_member_names(capsys, tmp_path, stem, label):
     path = tmp_path / f"{stem}.design"

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 from collections import deque
+from importlib import resources
 from itertools import combinations
 from math import comb
 
@@ -19,15 +20,19 @@ from blockfriends import (
     family,
     fano,
     full_design,
+    load_field_tables,
     nine_point_design,
     profile,
+    projective_plane,
     sts13_s1,
     sts13_s2,
     subsets_of_size,
     whole_design,
 )
+import blockfriends.designs as designs_mod
 from blockfriends.blocks import as_mask, labels_from_mask, level_chunks, level_masks
 from blockfriends.classify import classify_level
+from blockfriends.designs import detect_params
 from blockfriends.profiles import CHUNK_CELLS
 from oracle_util import BruteBlockError, brute_blocks, brute_detect, brute_labels, labels
 
@@ -141,6 +146,37 @@ def test_level_chunks_state_is_bounded():
     assert 0 < first.size <= 8456
     assert first[0] == (1 << 15) - 1
     assert peak < 8 << 20
+
+
+def test_detect_params_holds_one_piece():
+    """The Gram matrix of PG(2,4)'s 90,720-member level-9 class is summed
+    over pieces of CHUNK_CELLS // v blocks, so its temporaries stay about
+    one piece, not v x b."""
+    pg24 = projective_plane(load_field_tables(
+        resources.files("blockfriends.data").joinpath("gf4.tables").read_text()))
+    members = max(classify_level(pg24, 9), key=lambda c: c.size).members
+    tracemalloc.start()
+    try:
+        params = detect_params(members, 21)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params == DesignParams(21, 90720, 38880, 9, 15552)
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 40])
+def test_detect_params_pieces_keep_verdicts(monkeypatch, chunk_cells):
+    """Gram pieces of one block or of three leave the params and witness
+    of the STS(13) level-5 and level-6 classes as they were, and equal to
+    the brute-force verdict."""
+    classes = [c for n in (5, 6) for c in classify_level(sts13_s1(), n)]
+    assert any(c.witness.startswith("pair") for c in classes)
+    monkeypatch.setattr(designs_mod, "CHUNK_CELLS", chunk_cells)
+    for c in classes:
+        params, witness = detect_params(c.members, 13)
+        assert (params, witness) == (c.params, c.witness)
+        assert (params and tuple(params)) == brute_detect(labels(c.to_family()), 13)
 
 
 def test_level_chunks_release_their_tables():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from blockfriends import (
+    BlockDesign,
     DesignError,
     FriendlyFamily,
     IntersectionProfile,
@@ -26,6 +27,7 @@ from blockfriends import (
     fano,
     fano_family,
     fano_family_members,
+    friends_matrix,
     full_design,
     less_than,
     nine_point_design,
@@ -43,6 +45,7 @@ from oracle_util import (
     brute_closure,
     brute_order_preservation,
     brute_transitive_reduction,
+    pairwise_friends_matrix,
 )
 
 FANO_COVERING = {
@@ -302,7 +305,7 @@ def test_kernel_pair_profiles_equal_pairwise(make):
     exactly the profiles of are_friends."""
     fam = make()
     members = list(fam.members)
-    const = constant_profiles(members, power_set_owner(fam.v, members))
+    const = constant_profiles(members)
     assert const.all()
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -408,9 +411,9 @@ COMPLEMENT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(COMPLEMENT_CASES))
 def test_complement_rows_equal_direct_rows(monkeypatch, case):
-    """Rows copied from a complement partner equal the rows the lattice
-    passes give when nothing is copied, and copying transforms fewer
-    lattice columns."""
+    """friends_matrix, which runs the lattice on one member per complement
+    pair, equals the friendship read off constant_profiles over the whole
+    family, and transforms fewer lattice columns."""
     fams = COMPLEMENT_CASES[case]()
     columns = []
     real = friendship_mod.subset_sums
@@ -420,12 +423,59 @@ def test_complement_rows_equal_direct_rows(monkeypatch, case):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(friendship_mod, "subset_sums", counted)
-    const = constant_profiles(fams, power_set_owner(fams[0].v, fams))
-    copied = sum(columns)
+    monkeypatch.setattr(friendship_mod, "_lattice_pays", lambda fams: True)
+    matrix = friends_matrix(fams)
+    reduced = sum(columns)
     columns.clear()
-    const_direct = constant_profiles(fams, None)
-    assert copied < sum(columns)
-    assert (const == const_direct).all()
+    const = constant_profiles(fams)
+    assert reduced < sum(columns)
+    assert (matrix == (const & const.T)).all()
+
+
+def test_pairwise_kernel_runs_once_per_member_up_to_complement(monkeypatch):
+    """Pair by pair, the ten Fano subdivision classes, five complement
+    pairs, take the 15 are_friends calls of five members, not 55, and give
+    the pairwise reference."""
+    fams = COMPLEMENT_CASES["fano"]()
+    ref = pairwise_friends_matrix(fams)
+    calls = []
+    real = friendship_mod.are_friends
+    monkeypatch.setattr(friendship_mod, "are_friends", lambda a, b: calls.append(1) or real(a, b))
+    monkeypatch.setattr(friendship_mod, "_lattice_pays", lambda fams: False)
+    assert friends_matrix(fams).tolist() == ref
+    assert len(calls) == 15
+
+
+subdivision_classes = cache(lambda case: COMPLEMENT_CASES[case]())
+
+
+@st.composite
+def families_with_repeats(draw):
+    """Classes of a catalog subdivision, some followed by their complement
+    with the block order reversed or by a copy with the blocks reordered,
+    shuffled so that a complement may come before its partner."""
+    classes = subdivision_classes(draw(st.sampled_from(["fano", "nine_point", "sts13_s1"])))
+    rng = draw(st.randoms(use_true_random=False))
+    fams = []
+    for d in draw(st.lists(st.sampled_from(classes), min_size=1, max_size=4)):
+        fams.append(d)
+        if draw(st.booleans()):
+            fams.append(BlockDesign(d.v, np.uint64((1 << d.v) - 1) ^ d.blocks[::-1], None))
+        if draw(st.booleans()):
+            fams.append(BlockDesign(d.v, d.blocks[rng.sample(range(d.b), d.b)], None))
+    rng.shuffle(fams)
+    return fams
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(families_with_repeats())
+def test_friends_matrix_with_complements_and_copies_equals_pairwise(fams):
+    ref = pairwise_friends_matrix(fams)
+    for lattice in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(friendship_mod, "_lattice_pays", lambda fams: lattice)
+            assert friends_matrix(fams).tolist() == ref
 
 
 def test_int32_moments_equal_int64_moments(monkeypatch):
@@ -433,9 +483,9 @@ def test_int32_moments_equal_int64_moments(monkeypatch):
     int64 gives the same const."""
     fams = COMPLEMENT_CASES["pg23"]()
     assert {friendship_mod._moment_dtype(d.b, d.k) for d in fams} == {np.int32}
-    const = constant_profiles(fams, None)
+    const = constant_profiles(fams)
     monkeypatch.setattr(friendship_mod, "_moment_dtype", lambda b, k: np.int64)
-    const_wide = constant_profiles(fams, None)
+    const_wide = constant_profiles(fams)
     assert (const == const_wide).all()
 
 
@@ -450,21 +500,22 @@ BLOCK_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_block_size_does_not_change_results(monkeypatch, case):
-    """Blocks of one, two or three columns give the const of the default
-    blocks, with rows copied or not.  Two- and three-column blocks
-    end inside the ranked columns of a member; with int32 and int64 members
-    mixed, the blocks holding both run in int64."""
+    """Blocks of one, two or three columns give the result of the default
+    blocks, over the whole family and over friends_matrix's members up to
+    complement.  Two- and three-column blocks end inside the ranked columns
+    of a member; with int32 and int64 members mixed, the blocks holding
+    both run in int64."""
     fams = BLOCK_CASES[case]()
     v = fams[0].v
-    for owner in (power_set_owner(v, fams), None):
-        const = constant_profiles(fams, owner)
+    for kernel in (constant_profiles, friends_matrix):
+        const = kernel(fams)
         for columns, mixed in ((1, False), (2, False), (3, False), (3, True)):
             with monkeypatch.context() as m:
                 m.setattr(friendship_mod, "BLOCK_CELLS", columns << v)
                 if mixed:
                     m.setattr(friendship_mod, "_moment_dtype",
                               lambda b, k: np.int64 if k % 2 else np.int32)
-                const_blocked = constant_profiles(fams, owner)
+                const_blocked = kernel(fams)
             assert (const_blocked == const).all()
 
 
