@@ -20,7 +20,7 @@ from .designs import (
 )
 from .families import power_set_owner
 from .friendship import are_friends, complement_transfer, friends_matrix
-from .profiles import IntersectionProfile, intersection_sizes, profile_rows
+from .profiles import IntersectionProfile
 
 # a counts-only sweep holds one chunk and the class table, not the level, so
 # it takes levels of up to 2^COUNTS_ONLY_LIMIT subsets and classify_all takes
@@ -75,7 +75,8 @@ def _key_weights(b: int, k: int) -> np.ndarray:
     index most significant, where c is the most base-(b+1) digits an int64
     holds.  Word w of a row's key is W[w] · (z_0..z_k); the words compared
     in turn order rows exactly as their signatures.  Small parents need one
-    word; PG(2,4) packs all six entries into 22^6.
+    word; PG(2,4) packs all six entries into 22^6.  No entry passes b, so
+    z_t is word W.argmax(0)[t] = t // c of the key // W.max(0)[t] % (b+1).
     """
     c = 1
     while c <= k and (b + 1) ** (c + 1) <= 2**63:
@@ -162,12 +163,12 @@ def classify_level(
     key tables (_packed_keys: broadword arithmetic on packed count fields,
     Knuth, TAOCP 4A, 7.1.3), which `_keys` passes in when classify_all has
     built them for every level.  Each piece is grouped by one stable sort of
-    the keys and merged into a table holding, per class, its key, count and
-    first member, plus its members when they are kept.  Counts-only memory
-    is therefore one piece plus the tables, whatever the level size; with
-    members kept, the members are all that grows.  Levels of more than
-    2^SWEEP_LIMIT subsets, or 2^COUNTS_ONLY_LIMIT counts-only, are refused
-    before any work.
+    the keys and merged into a table holding, per class, its key and count,
+    plus its members when they are kept; the keys' digits give the signatures.
+    Counts-only memory is therefore one piece plus the tables, whatever the
+    level size; with members kept, the members are all that grows.  Levels
+    of more than 2^SWEEP_LIMIT subsets, or 2^COUNTS_ONLY_LIMIT counts-only,
+    are refused before any work.
     """
     v = parent.v
     if not 0 <= n <= v:
@@ -178,7 +179,7 @@ def classify_level(
             f"level n={n} has C({v},{n}) = {comb(v, n)} subsets, above the {name} 2^{limit}"
         )
     packed_keys = _keys or _packed_keys(parent)
-    table: dict[tuple[int, ...], list] = {}  # key words -> [count, first, members]
+    table: dict[tuple[int, ...], list] = {}  # key words -> [count, member pieces]
     for subs in level_chunks(v, n, max(1, CHUNK_CELLS // parent.b)):
         keys = packed_keys(subs)
         order = np.lexsort(keys[::-1])  # stable: members stay in enumeration order
@@ -187,23 +188,23 @@ def classify_level(
             np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
         )
         ends = np.r_[starts[1:], subs.size]
-        firsts = subs[order[starts]].tolist()
         if keep_members:
             subs = subs[order]
-        for key, first, lo, hi in zip(
-            map(tuple, ordered[:, starts].T.tolist()), firsts, starts.tolist(), ends.tolist()
+        for key, lo, hi in zip(
+            map(tuple, ordered[:, starts].T.tolist()), starts.tolist(), ends.tolist()
         ):
             entry = table.get(key)
             if entry is None:
-                entry = table[key] = [0, first, []]
+                entry = table[key] = [0, []]
             entry[0] += hi - lo
             if keep_members:
-                entry[2].append(subs[lo:hi])
-    rows = [table[key] for key in sorted(table)]  # key order is signature order
-    firsts = np.array([first for _, first, _ in rows], dtype=np.uint64)
-    sigs = profile_rows(intersection_sizes(firsts, parent.blocks), parent.k)
+                entry[1].append(subs[lo:hi])
+    found = sorted(table)  # key order is signature order
+    b, w = parent.b, _key_weights(parent.b, parent.k)
+    words = np.array(found, dtype=np.int64).T + b * w[:, :1]  # back to W @ z (_packed_keys)
+    sigs = words[w.argmax(0)] // w.max(0)[:, None] % (b + 1)  # z_t: digit t % c of word t // c
     classes = []
-    for sig_row, (size, _, members) in zip(sigs.tolist(), rows):
+    for sig_row, (size, members) in zip(sigs.T.tolist(), map(table.get, found)):
         sig = IntersectionProfile(tuple(sig_row), n)
         if keep_members:
             members = np.concatenate(members)

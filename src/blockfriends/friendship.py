@@ -16,7 +16,8 @@ whether each profile is constant over each other member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 from math import comb
 from typing import NamedTuple
 
@@ -174,6 +175,9 @@ def friends_matrix(fams: list[BlockDesign]) -> np.ndarray:
     representative per member up to equality and complement, and each
     member takes its representative's row and column.
     """
+    for d in fams:
+        if d.v != fams[0].v:
+            raise DesignError(f"ground sets differ: {fams[0].v} vs {d.v}")
     full = np.uint64(full_mask(fams[0].v))
     keys: dict[bytes, int] = {}  # sorted blocks -> index of its representative
     reps, rep = [], []
@@ -199,12 +203,8 @@ def check_count_identity(verdict: FriendshipVerdict, b1: int, b2: int) -> bool:
     """Verify b2 * phi(D1,D2) = b1 * phi(D2,D1), aligned by intersection size."""
     if not verdict.friends:
         raise DesignError("count identity only applies to friends")
-    z12 = verdict.profile_1_2.z
-    z21 = verdict.profile_2_1.z
-    n = max(len(z12), len(z21))
-    ext12 = z12 + (0,) * (n - len(z12))
-    ext21 = z21 + (0,) * (n - len(z21))
-    return all(b2 * a == b1 * c for a, c in zip(ext12, ext21))
+    pairs = zip_longest(verdict.profile_1_2.z, verdict.profile_2_1.z, fillvalue=0)
+    return all(b2 * a == b1 * c for a, c in pairs)
 
 
 def complement_transfer(p: IntersectionProfile, k_d: int, v: int) -> IntersectionProfile:
@@ -239,14 +239,7 @@ def is_self_friend(d: BlockDesign, verify: bool = False) -> FriendshipVerdict:
                 f"structural case {case} predicts {predicted}, sweep found "
                 f"{verdict.profile_1_2}"
             )
-    return FriendshipVerdict(
-        verdict.friends,
-        verdict.profile_1_2,
-        verdict.profile_2_1,
-        verdict.witness,
-        verdict.inputs_are_designs,
-        theorem_case=case,
-    )
+    return replace(verdict, theorem_case=case)
 
 
 def transitivity_counterexample(d1: BlockDesign, d2: BlockDesign) -> bool:

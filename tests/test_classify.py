@@ -591,3 +591,26 @@ def test_packed_keys_at_field_and_slice_edges(parent, chunk_cells):
 @given(parent_levels(), st.integers(min_value=1, max_value=60))
 def test_packed_keys_equal_profile_keys(level, chunk_cells):
     _assert_packed_keys(*level, chunk_cells)
+
+
+WIDE = full_design(16, 6)  # b = 8008: the key needs two int64 words
+DECODE_LEVELS = [
+    (fano(), range(8)),
+    (sts13_s1(), range(14)),
+    (WIDE, (0, 3, 16)),
+    (family(16, WIDE.blocks[::2]), (0, 2, 16)),  # b = 4004, two words
+]
+
+
+@pytest.mark.parametrize("parent, levels", DECODE_LEVELS, ids=["fano", "sts13_s1", "wide", "half"])
+def test_signatures_decoded_at_digit_edges(parent, levels):
+    """Each class's signature, read back from its key's base-(b+1) digits,
+    is the profile of its first member; at level 0 z_0 = b and at level v
+    z_k = b, the top digit of the base, in the first and the last key word."""
+    for n in levels:
+        for cls in classify_level(parent, n):
+            first = profile_rows(intersection_sizes(cls.members[:1], parent.blocks), parent.k)
+            assert cls.signature.z == tuple(first[0].tolist())
+    zeros = (0,) * parent.k
+    for n, z in ((0, (parent.b,) + zeros), (parent.v, zeros + (parent.b,))):
+        assert [c.signature.z for c in classify_level(parent, n, keep_members=False)] == [z]

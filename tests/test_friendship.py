@@ -1,5 +1,6 @@
 import pytest
 
+import blockfriends.friendship as friendship_mod
 from blockfriends import (
     DesignError,
     are_friends,
@@ -9,6 +10,7 @@ from blockfriends import (
     complement_transfer,
     empty_design,
     fano,
+    friends_matrix,
     full_design,
     is_self_friend,
     nine_point_design,
@@ -82,6 +84,17 @@ def test_witness_identifies_differing_probes():
 def test_ground_set_mismatch():
     with pytest.raises(DesignError):
         are_friends(fano(), full_design(8, 3))
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+def test_friends_matrix_refuses_mixed_ground_sets(monkeypatch, lattice):
+    """Both kernels refuse members on different ground sets, whichever
+    member comes first."""
+    monkeypatch.setattr(friendship_mod, "_lattice_pays", lambda fams: lattice)
+    small, large = [full_design(7, 3), full_design(7, 4)], [full_design(8, 5)]
+    for fams in (small + large, large + small):
+        with pytest.raises(DesignError, match="ground sets differ"):
+            friends_matrix(fams)
 
 
 def test_degenerate_conventions():
