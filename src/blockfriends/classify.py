@@ -105,6 +105,8 @@ def _packed_keys(parent: BlockDesign):
     c.  So every block adds W[:, c_j] - W[:, 0] and every padding field 0:
     the key is the profile key minus a constant, with the same order and
     the same classes, from a few reads per subset.
+    Every read is an np.take gather along the subsets' axis, indexed by the
+    masked slice or field values as int64.
     """
     v, b, k = parent.v, parent.b, parent.k
     f = k.bit_length() or 1
@@ -133,12 +135,14 @@ def _packed_keys(parent: BlockDesign):
     shifts = np.arange(g, f * per_word, g, dtype=np.uint64)
 
     def keys(subs: np.ndarray) -> np.ndarray:
-        packed = counts[0][:, subs & smask]  # (words, subsets)
+        # masked values are below 2^s or 2^g, so the int64 views are exact;
+        # packed is (words, subsets), shares (key words, words, subsets)
+        packed = np.take(counts[0], (subs & smask).view(np.int64), axis=1)
         for p in range(1, offsets.size):
-            packed += counts[p][:, (subs >> offsets[p]) & smask]
-        shares = key_table[:, packed & gmask]  # (key words, words, subsets)
+            packed += np.take(counts[p], ((subs >> offsets[p]) & smask).view(np.int64), axis=1)
+        shares = np.take(key_table, (packed & gmask).view(np.int64), axis=1)
         for shift in shifts:
-            shares += key_table[:, (packed >> shift) & gmask]
+            shares += np.take(key_table, ((packed >> shift) & gmask).view(np.int64), axis=1)
         return shares.sum(axis=1)
 
     return keys

@@ -14,7 +14,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .blocks import as_mask, label_rows, subset_sums
+from .blocks import _REVERSED_BYTES, CHUNK_CELLS, as_mask, subset_sums
 from .designs import BlockDesign, DesignError
 from .friendship import are_friends, friends_matrix
 from .profiles import IntersectionProfile, intersection_sizes, profile_rows
@@ -53,9 +53,25 @@ class FriendlyFamily:
 
 
 def _canonical_key(d: BlockDesign) -> tuple[int, bytes]:
-    """Block size, then the sorted block label tuples; as labels are at most
-    64, one byte per label compares the same way."""
-    return (d.k, label_rows(d.blocks).astype(np.uint8).tobytes())
+    """Block size, then the sorted block label tuples, 8 bytes per block.
+
+    Among same-size sets, A precedes B iff ~rev(A) < ~rev(B), where rev
+    moves bit i to bit 63-i (label_rows); so the sorted ~rev masks, as
+    big-endian bytes, compare as the sorted label tuples do.
+    """
+    blocks = np.ascontiguousarray(d.blocks, dtype="<u8")
+    reversed_masks = _REVERSED_BYTES[blocks.view(np.uint8)].view(">u8")
+    return (d.k, np.sort(~reversed_masks).astype(">u8").tobytes())
+
+
+def _first_block_rows(firsts: np.ndarray, d: BlockDesign) -> np.ndarray:
+    """Row j is the profile of d against firsts[j], counted in pieces of
+    CHUNK_CELLS // len(firsts) blocks."""
+    step = max(1, CHUNK_CELLS // len(firsts))
+    return sum(
+        profile_rows(intersection_sizes(firsts, d.blocks[lo : lo + step]), d.k)
+        for lo in range(0, d.b, step)
+    )
 
 
 def build_family(designs) -> FriendlyFamily:
@@ -85,6 +101,7 @@ def build_family(designs) -> FriendlyFamily:
     for i, ((key, d), (next_key, _)) in enumerate(zip(keyed, keyed[1:])):
         if key == next_key:
             raise DesignError(f"duplicate member {d.name or i}")
+    del keyed  # 8 B per block, not needed while friends_matrix runs
     n = len(members)
     failing = np.argwhere(np.triu(~friends_matrix(members), 1))
     if failing.size:
@@ -93,9 +110,9 @@ def build_family(designs) -> FriendlyFamily:
         a = members[i].name or f"member-{i}"
         b = members[j].name or f"member-{j}"
         raise NotFriendsError(f"{a} and {b} are not friends (witness {witness})")
-    firsts = [d.blocks[0] for d in members]
+    firsts = np.array([d.blocks[0] for d in members])
     # rows[i][j] = the profile of members[i] against the first block of members[j]
-    rows = [profile_rows(intersection_sizes(firsts, d.blocks), d.k).tolist() for d in members]
+    rows = [_first_block_rows(firsts, d).tolist() for d in members]
     profiles: dict[tuple[int, int], IntersectionProfile] = {}
     for i in range(n):
         for j in range(i + 1, n):

@@ -593,6 +593,20 @@ def test_packed_keys_equal_profile_keys(level, chunk_cells):
     _assert_packed_keys(*level, chunk_cells)
 
 
+@pytest.mark.parametrize("parent", [
+    _cyclic_development(63, {0, 1, 3}),
+    _cyclic_development(64, {0, 1, 3, 7, 12}),
+], ids=["v63", "v64"])
+def test_packed_keys_at_top_bit(parent):
+    """Blocks through bits 62 and 63 are read from the last mask slice: the
+    keys and the classes at the bottom and top levels match the oracle."""
+    assert max(parent.blocks.tolist()).bit_length() == parent.v
+    v = parent.v
+    for n in (0, 1, 2, v - 2, v - 1, v):
+        _assert_packed_keys(parent, n, 1 << 18)
+        assert _as_oracle(classify_level(parent, n)) == _oracle(parent, n)
+
+
 WIDE = full_design(16, 6)  # b = 8008: the key needs two int64 words
 DECODE_LEVELS = [
     (fano(), range(8)),

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import cache, partial
 from itertools import combinations
 
@@ -102,8 +103,28 @@ def test_build_family_rejects_mixed_ground_sets_and_duplicates():
 
 def test_build_family_rejects_raw_families():
     raw = classify_level(sts13_s1(), 6)[0].to_family("six")
-    with pytest.raises(DesignError, match="not a validated design"):
-        build_family([raw])
+    strided = family(8, full_design(8, 3).blocks[::2], "every other triple")
+    for members in ([raw], [strided]):
+        with pytest.raises(DesignError, match="not a validated design"):
+            build_family(members)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_family_memory_within_friends_matrix():
+    """The sort keys (8 B per block) and the stored profiles (counted in
+    pieces) stay below the friendship matrix's own peak on the chain
+    full_design(20, 0..20), whose largest member has 184,756 blocks."""
+    members = [full_design(20, k) for k in range(21)]
+    matrix_peak = _traced_peak(lambda: friends_matrix(members))
+    assert _traced_peak(lambda: build_family(members)) <= matrix_peak + (1 << 20)
 
 
 def test_less_than_examples():
