@@ -75,17 +75,20 @@ _REVERSED_BYTES = np.packbits(
 ).ravel()
 
 
+def lex_keys(masks) -> np.ndarray:
+    """Keys of equal-size masks, ascending in lexicographic order of their
+    label tuples.  A precedes B iff min(A ^ B) lies in A, i.e. iff A is
+    larger once bit i is moved to bit 63-i: a byte reversal with each byte's
+    bits reversed, read as a big-endian uint64.  The key is its complement."""
+    arr = np.ascontiguousarray(masks, dtype="<u8")
+    return ~_REVERSED_BYTES[arr.view(np.uint8)].view(">u8")
+
+
 def label_rows(masks) -> np.ndarray:
     """Labels of equal-size masks as a (b x k) int64 matrix, one row per
-    mask, rows in lexicographic order of their label tuples.
-
-    Among same-size sets, A precedes B iff min(A ^ B) lies in A, i.e. iff A
-    is larger once bit i is moved to bit 63-i; that bit reversal is a byte
-    reversal with each byte's bits reversed, read as a big-endian uint64.
-    """
+    mask, rows in lexicographic order of their label tuples."""
     arr = np.array(masks, dtype="<u8")
-    reversed_masks = _REVERSED_BYTES[arr.view(np.uint8)].view(">u8")
-    arr = arr[np.argsort(~reversed_masks)]
+    arr = arr[np.argsort(lex_keys(arr))]
     bits = np.unpackbits(arr.view(np.uint8), bitorder="little").view(bool)
     return (np.flatnonzero(bits) % 64 + 1).reshape(arr.size, -1)
 

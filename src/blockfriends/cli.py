@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .blocks import format_block, mask_from_labels
-from .designs import BlockDesign, DesignError, detect_params, full_design
+from .designs import BlockDesign, DesignError, check_ground, detect_params, full_design
 from .families import (
     NotFriendsError,
     build_family,
@@ -321,6 +321,8 @@ def cmd_poset(args) -> int:
 
 def cmd_pg(args) -> int:
     q = args.order
+    if q >= 8:  # q^2 + q + 1 points: refused before any table or primality test
+        check_ground(q * q + q + 1)
     if args.field_tables:
         tables = load_field_tables(_read_text(args.field_tables))
         if tables.q != q:

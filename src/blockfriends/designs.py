@@ -62,6 +62,12 @@ def frozen_masks(masks) -> np.ndarray:
     return out
 
 
+def check_ground(v: int) -> None:
+    """Raise DesignError unless a ground set of v points fits a mask."""
+    if not 1 <= v <= MAX_GROUND:
+        raise DesignError(f"ground set size {v} outside 1..{MAX_GROUND}")
+
+
 @dataclass(frozen=True, eq=False)
 class BlockDesign:
     """A simple family of equal-sized blocks, with BIBD parameters when they hold.
@@ -78,6 +84,7 @@ class BlockDesign:
     name: str = ""
 
     def __post_init__(self):
+        check_ground(self.v)
         object.__setattr__(self, "blocks", frozen_masks(self.blocks))
 
     @property
@@ -117,8 +124,7 @@ def _normalize_blocks(blocks: Iterable, v: int) -> np.ndarray:
     that is out of range, has bad labels or repeats an earlier block raises.
     A uint64 array of distinct masks of subsets of 1..v, as a parsed file
     gives it, is checked in bulk and returned as it is."""
-    if not 1 <= v <= MAX_GROUND:
-        raise DesignError(f"ground set size {v} outside 1..{MAX_GROUND}")
+    check_ground(v)
     if isinstance(blocks, np.ndarray) and blocks.dtype == np.uint64 and blocks.ndim == 1:
         if blocks.size and not (blocks >> v).any() and not later_copies(blocks).any():
             return blocks
@@ -225,6 +231,7 @@ def full_design(v: int, k: int, name: str | None = None) -> BlockDesign:
 
     k = 0 and k = v give the degenerate designs.  k = 1 stores lambda = 0.
     """
+    check_ground(v)
     if not 0 <= k <= v:
         raise DesignError(f"block size {k} outside 0..{v}")
     if k == 0:

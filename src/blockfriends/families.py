@@ -14,10 +14,10 @@ from operator import itemgetter
 
 import numpy as np
 
-from .blocks import _REVERSED_BYTES, CHUNK_CELLS, as_mask, subset_sums
+from .blocks import as_mask, lex_keys, subset_sums
 from .designs import BlockDesign, DesignError
 from .friendship import are_friends, friends_matrix
-from .profiles import IntersectionProfile, intersection_sizes, profile_rows
+from .profiles import IntersectionProfile, profile_pieces
 
 
 class NotFriendsError(DesignError):
@@ -53,25 +53,10 @@ class FriendlyFamily:
 
 
 def _canonical_key(d: BlockDesign) -> tuple[int, bytes]:
-    """Block size, then the sorted block label tuples, 8 bytes per block.
-
-    Among same-size sets, A precedes B iff ~rev(A) < ~rev(B), where rev
-    moves bit i to bit 63-i (label_rows); so the sorted ~rev masks, as
-    big-endian bytes, compare as the sorted label tuples do.
-    """
-    blocks = np.ascontiguousarray(d.blocks, dtype="<u8")
-    reversed_masks = _REVERSED_BYTES[blocks.view(np.uint8)].view(">u8")
-    return (d.k, np.sort(~reversed_masks).astype(">u8").tobytes())
-
-
-def _first_block_rows(firsts: np.ndarray, d: BlockDesign) -> np.ndarray:
-    """Row j is the profile of d against firsts[j], counted in pieces of
-    CHUNK_CELLS // len(firsts) blocks."""
-    step = max(1, CHUNK_CELLS // len(firsts))
-    return sum(
-        profile_rows(intersection_sizes(firsts, d.blocks[lo : lo + step]), d.k)
-        for lo in range(0, d.b, step)
-    )
+    """Block size, then the sorted block label tuples, 8 bytes per block:
+    the sorted lex_keys, as big-endian bytes, compare as the sorted label
+    tuples do."""
+    return (d.k, np.sort(lex_keys(d.blocks)).astype(">u8").tobytes())
 
 
 def build_family(designs) -> FriendlyFamily:
@@ -112,7 +97,7 @@ def build_family(designs) -> FriendlyFamily:
         raise NotFriendsError(f"{a} and {b} are not friends (witness {witness})")
     firsts = np.array([d.blocks[0] for d in members])
     # rows[i][j] = the profile of members[i] against the first block of members[j]
-    rows = [_first_block_rows(firsts, d).tolist() for d in members]
+    rows = [np.concatenate([r for _, r in profile_pieces(d, firsts)]).tolist() for d in members]
     profiles: dict[tuple[int, int], IntersectionProfile] = {}
     for i in range(n):
         for j in range(i + 1, n):

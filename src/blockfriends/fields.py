@@ -79,10 +79,10 @@ def prime_field(p: int) -> FieldTables:
     each; it is not the plane limit, which projective_plane enforces on its
     own (q <= 7, for at most 64 points).
     """
-    if not _is_prime(p):
-        raise FieldError(f"{p} is not prime; load explicit tables instead")
     if p > 61:
         raise FieldError(f"order {p} too large: prime field tables stop at p = 61")
+    if not _is_prime(p):
+        raise FieldError(f"{p} is not prime; load explicit tables instead")
     t = FieldTables(
         p,
         tuple(tuple((a + b) % p for b in range(p)) for a in range(p)),

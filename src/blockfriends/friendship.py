@@ -3,14 +3,14 @@
 Two designs on the same ground set are friends when the profile of each
 against a single block of the other does not depend on which block was
 chosen.  `are_friends` decides one pair with O(b1*b2) popcounts, walked in
-pieces of about CHUNK_CELLS intersection cells; it works for any ground set
-up to 64 points.
+the pieces of `profiles.profile_pieces`; it works for any ground set up to
+64 points.
 
 `friends_matrix` answers every pair of a family at once, and is the one
 place that picks a kernel: pair by pair, or `constant_profiles`, which runs
 k+1 transforms over the subset lattice per member (Bjorklund, Husfeldt,
 Kaski, Koivisto, "Fourier meets Moebius", STOC 2007), many columns to one
-numpy pass while a block of them fits BLOCK_CELLS, and reads off only
+numpy pass while a block of them fits CHUNK_CELLS, and reads off only
 whether each profile is constant over each other member.
 """
 
@@ -27,8 +27,7 @@ from .blocks import CHUNK_CELLS, SWEEP_LIMIT, full_mask, subset_sums
 from .designs import BlockDesign, DesignError, full_design
 from .profiles import (
     IntersectionProfile,
-    intersection_sizes,
-    profile_rows,
+    profile_pieces,
     self_friend_case,
     theoretical_self_profile,
 )
@@ -62,8 +61,8 @@ def are_friends(d1: BlockDesign, d2: BlockDesign) -> FriendshipVerdict:
     On success the two common profiles are returned.  On failure the witness
     names a pair of probe blocks whose profiles differ and which side failed:
     probe 0 and the first probe whose profile differs from it, side 1 first.
-    Each side walks its probes in pieces of CHUNK_CELLS // b rows and stops
-    at the first piece holding such a probe, so memory stays about one piece.
+    Each side walks its probes with profile_pieces and stops at the first
+    piece holding such a probe, so memory stays about one piece.
     Raw non-design families are accepted and flagged via inputs_are_designs.
     """
     if d1.v != d2.v:
@@ -72,10 +71,9 @@ def are_friends(d1: BlockDesign, d2: BlockDesign) -> FriendshipVerdict:
     common = []
     # side 1: d1 probed by each block of d2; side 2: d2 probed by each block of d1
     for side, (d, other) in enumerate(((d1, d2), (d2, d1)), start=1):
-        step = max(1, CHUNK_CELLS // d.b)
-        first = profile_rows(intersection_sizes(other.blocks[:1], d.blocks), d.k)[0]
-        for lo in range(0, other.b, step):
-            rows = profile_rows(intersection_sizes(other.blocks[lo : lo + step], d.blocks), d.k)
+        first = None
+        for lo, rows in profile_pieces(d, other.blocks):
+            first = rows[0] if first is None else first
             differ = np.flatnonzero((rows != first).any(axis=1))
             if differ.size:
                 witness = ProfileMismatch(side, 0, lo + int(differ[0]))
@@ -91,12 +89,6 @@ def _moment_dtype(b: int, k: int) -> type:
     M_t <= b C(k, t) <= b C(k, k // 2), and so are the partial sums of the
     transforms, whose terms are non-negative."""
     return np.int32 if b * comb(k, k // 2) < 1 << 31 else np.int64
-
-
-# Lattice cells (2^v subsets times columns) that one block of transforms
-# holds.  Every pass of a transform runs over all columns of its block at
-# once, so at v = 13 a block holds 8 columns; from v = 16 on it holds one.
-BLOCK_CELLS = 1 << 16
 
 
 def constant_profiles(fams: list[BlockDesign]) -> np.ndarray:
@@ -115,13 +107,13 @@ def constant_profiles(fams: list[BlockDesign]) -> np.ndarray:
     int32, which halves the memory the transforms stream, whenever
     b C(k, k/2) < 2^31.
 
-    The transforms run on blocks of BLOCK_CELLS >> v columns (one at
-    least), each pass over all columns of a block at once: the indicators
-    of that many members are one superset sum, and their ranked columns,
-    f_A on the t-subsets for t = 1..k_A, a block at a time are one subset
-    sum, gathered once at the blocks of every member.  A block boundary may
-    fall inside a member's columns.  A block is int64 when any member in it
-    needs int64.
+    The transforms run on blocks of CHUNK_CELLS >> v columns (one at
+    least: 32 at v = 13, one from v = 18 on), each pass over all columns of
+    a block at once: the indicators of that many members are one superset
+    sum, and their ranked columns, f_A on the t-subsets for t = 1..k_A, a
+    block at a time are one subset sum, gathered once at the blocks of
+    every member.  A block boundary may fall inside a member's columns.  A
+    block is int64 when any member in it needs int64.
     """
     v = fams[0].v
     n = len(fams)
@@ -132,7 +124,7 @@ def constant_profiles(fams: list[BlockDesign]) -> np.ndarray:
     starts = np.cumsum([0] + [d.b for d in fams[:-1]])
     const = np.ones((n, n), dtype=bool)
     direct = [a for a in range(n) if fams[a].k > 0]
-    width = max(1, BLOCK_CELLS >> v)
+    width = max(1, CHUNK_CELLS >> v)
     for lo in range(0, len(direct), width):
         members = direct[lo : lo + width]
         dtype = np.result_type(*(_moment_dtype(fams[a].b, fams[a].k) for a in members))

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .blocks import MAX_GROUND
-from .designs import BlockDesign, DesignError, DesignParams, design
+from .designs import BlockDesign, DesignParams, check_ground, design
 from .fields import FieldTables
 
 
@@ -33,8 +32,7 @@ def projective_plane(f: FieldTables) -> BlockDesign:
     """
     q, add, mul = f.q, f.add, f.mul
     n = q * q + q + 1
-    if n > MAX_GROUND:
-        raise DesignError(f"ground set size {n} outside 1..{MAX_GROUND}")
+    check_ground(n)
     pts = _normalized_points(q)
     index = {p: i + 1 for i, p in enumerate(pts)}
     blocks = []

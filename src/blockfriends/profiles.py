@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
-from .blocks import CHUNK_CELLS, as_mask  # CHUNK_CELLS stays importable here
+from .blocks import CHUNK_CELLS, as_mask
 from .designs import BlockDesign, DesignError, DesignParams
 
 
@@ -57,6 +58,15 @@ def profile_rows(sizes: np.ndarray, k: int) -> np.ndarray:
     n = len(sizes)
     cells = np.arange(n)[:, None] * (k + 1) + sizes
     return np.bincount(cells.ravel(), minlength=n * (k + 1)).reshape(n, k + 1)
+
+
+def profile_pieces(d: BlockDesign, probes) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, rows) for consecutive pieces of max(1, CHUNK_CELLS // d.b)
+    probes, so each piece holds about CHUNK_CELLS intersection cells: row i
+    of rows is the profile of d against probes[lo + i]."""
+    step = max(1, CHUNK_CELLS // d.b)
+    for lo in range(0, len(probes), step):
+        yield lo, profile_rows(intersection_sizes(probes[lo : lo + step], d.blocks), d.k)
 
 
 def profile(d: BlockDesign, probe) -> IntersectionProfile:

@@ -327,6 +327,20 @@ def test_pg_refuses_oversized_plane_before_building(capsys, monkeypatch, tmp_pat
     assert out == "" and err == "error: ground set size 3783 outside 1..64\n"
 
 
+@pytest.mark.parametrize("extra", [[], ["--field-tables", "missing.tables"]],
+                         ids=["plain", "tables"])
+@pytest.mark.parametrize("q", [8, 9, 1000000000000000003])
+def test_pg_refuses_large_orders_before_primality(capsys, monkeypatch, tmp_path, q, extra):
+    """Orders from 8 up give more than 64 points: refused before any
+    primality test or table file is read, composite orders included."""
+    monkeypatch.setattr("blockfriends.cli._is_prime",
+                        lambda q: pytest.fail("primality tested before the size check"))
+    code, out, err = run(capsys, "pg", "--order", str(q), *extra, "-o", str(tmp_path / "x"))
+    assert code == 2
+    assert out == "" and err == f"error: ground set size {q * q + q + 1} outside 1..64\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_catalog_list_and_export(capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0

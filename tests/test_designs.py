@@ -30,7 +30,14 @@ from blockfriends import (
     whole_design,
 )
 import blockfriends.designs as designs_mod
-from blockfriends.blocks import as_mask, labels_from_mask, level_chunks, level_masks
+from blockfriends.blocks import (
+    as_mask,
+    labels_from_mask,
+    lex_keys,
+    level_chunks,
+    level_masks,
+    mask_from_labels,
+)
 from blockfriends.classify import classify_level
 from blockfriends.designs import detect_params
 from blockfriends.profiles import CHUNK_CELLS
@@ -414,3 +421,32 @@ def test_block_check_matches_in_order_oracle(case):
 def test_block_check_examples(v, blocks):
     _check_block_list(v, blocks)
 
+
+@pytest.mark.parametrize("v", [2, 9, 33, 63, 64])
+def test_lex_keys_sort_as_label_tuples(v):
+    """Ascending lex_keys give the sorted label tuples of same-size masks,
+    including masks on bits 62 and 63 and masks read through a strided view."""
+    rng = np.random.default_rng(v)
+    k = int(rng.integers(1, v))
+    sets = {tuple(sorted(rng.choice(np.arange(1, v + 1), k, replace=False).tolist()))
+            for _ in range(300)}
+    # top labels: v with the k - 1 lowest, the k highest, and the k just below v
+    sets |= {tuple(range(1, k)) + (v,), tuple(range(v - k + 1, v + 1)), tuple(range(v - k, v))}
+    tuples = list(sets)
+    masks = np.array([mask_from_labels(t) for t in tuples], dtype=np.uint64)
+    strided = np.zeros(2 * masks.size, dtype=np.uint64)
+    strided[::2] = masks
+    for arr in (masks, strided[::2]):
+        order = np.argsort(lex_keys(arr), kind="stable")
+        assert [labels_from_mask(m) for m in arr[order].tolist()] == sorted(tuples)
+
+
+def test_constructors_check_ground_set():
+    """full_design, empty_design and whole_design refuse ground sets outside
+    1..64 rather than wrapping bits past 63 or building a 0-point design."""
+    for v, build in [(66, lambda: full_design(66, 2)), (65, lambda: full_design(65, 1)),
+                     (70, lambda: full_design(70, 70)), (0, lambda: full_design(0, 0)),
+                     (0, lambda: empty_design(0)), (65, lambda: empty_design(65)),
+                     (0, lambda: whole_design(0)), (65, lambda: whole_design(65))]:
+        with pytest.raises(DesignError, match=f"^ground set size {v} outside 1..64$"):
+            build()

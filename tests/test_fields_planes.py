@@ -35,6 +35,15 @@ def test_prime_field_rejections():
         prime_field(67)
 
 
+def test_prime_field_caps_order_before_primality(monkeypatch):
+    """The p > 61 cap is checked before trial division, which would take
+    minutes on an 18-digit prime."""
+    monkeypatch.setattr("blockfriends.fields._is_prime",
+                        lambda p: pytest.fail("primality tested before the cap"))
+    with pytest.raises(FieldError, match="too large"):
+        prime_field(1000000000000000003)
+
+
 def test_gf4_tables_load_and_round_trip():
     t = load_field_tables(gf4_text())
     assert t.q == 4

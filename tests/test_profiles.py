@@ -10,6 +10,7 @@ from blockfriends import (
     check_moment_identities,
     complement_design,
     fano,
+    fano_family_members,
     full_design,
     full_design_self_profile,
     full_mask,
@@ -22,7 +23,9 @@ from blockfriends import (
     sts13_s2,
     theoretical_self_profile,
 )
-from blockfriends.profiles import intersection_sizes, profile_rows
+import blockfriends.profiles as profiles_mod
+from blockfriends.classify import classify_level
+from blockfriends.profiles import intersection_sizes, profile_pieces, profile_rows
 from oracle_util import brute_profile, labels
 
 
@@ -157,3 +160,23 @@ def test_profile_rows_of_no_probes():
     d = fano()
     rows = profile_rows(intersection_sizes([], d.blocks), d.k)
     assert rows.shape == (0, d.k + 1)
+
+
+@pytest.mark.parametrize("per_piece", [1, 2, 3])
+def test_profile_pieces_join_to_one_piece(monkeypatch, per_piece):
+    """Pieces of one to three probes, each starting where the last ended and
+    the last one partial when the count is not a multiple, join to the rows
+    of one piece: every fano_family member against every member's blocks,
+    and the largest STS(13) S1 level-5 class against the parent's blocks
+    and back."""
+    parent = sts13_s1()
+    cls = max(classify_level(parent, 5), key=lambda c: len(c.members)).to_family("c")
+    members = list(fano_family_members())
+    pairs = [(d, e.blocks) for d in members for e in members]
+    pairs += [(parent, cls.blocks), (cls, parent.blocks)]
+    for d, probes in pairs:
+        whole = profile_rows(intersection_sizes(probes, d.blocks), d.k)
+        monkeypatch.setattr(profiles_mod, "CHUNK_CELLS", per_piece * d.b)
+        pieces = list(profile_pieces(d, probes))
+        assert [lo for lo, _ in pieces] == list(range(0, len(probes), per_piece))
+        assert np.array_equal(np.concatenate([rows for _, rows in pieces]), whole)
