@@ -12,6 +12,10 @@ MAX_GROUND = 64
 # the most points on which a whole-power-set pass (a sweep that keeps its
 # members, a subset-lattice transform) runs: 2^24 cells
 SWEEP_LIMIT = 24
+# a counts-only sweep holds one chunk and the class table, not the level, so
+# it takes levels of up to 2^COUNTS_ONLY_LIMIT subsets and classify_all takes
+# v up to COUNTS_ONLY_LIMIT, which reaches PG(2,5)
+COUNTS_ONLY_LIMIT = 31
 # cells per piece of a walk (intersection sizes, incidences: about 2 MB as
 # int64 or float64), and the most uint64 cells of classify_level's count table
 CHUNK_CELLS = 1 << 18

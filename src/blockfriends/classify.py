@@ -14,18 +14,14 @@ from math import comb
 
 import numpy as np
 
-from .blocks import CHUNK_CELLS, SWEEP_LIMIT, full_mask, level_chunks
+from . import blocks
+from .blocks import full_mask, level_chunks
 from .designs import (
     BlockDesign, DesignError, DesignParams, complement_params, detect_params, frozen_masks
 )
 from .families import power_set_owner
 from .friendship import are_friends, complement_transfer, friends_matrix
 from .profiles import IntersectionProfile
-
-# a counts-only sweep holds one chunk and the class table, not the level, so
-# it takes levels of up to 2^COUNTS_ONLY_LIMIT subsets and classify_all takes
-# v up to COUNTS_ONLY_LIMIT, which reaches PG(2,5)
-COUNTS_ONLY_LIMIT = 31
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +109,7 @@ def _packed_keys(parent: BlockDesign):
     per_word = 64 // f
     words = -(-b // per_word)
     s = 8
-    while s > 1 and -(-v // s) * words << s > CHUNK_CELLS:
+    while s > 1 and -(-v // s) * words << s > blocks.CHUNK_CELLS:
         s -= 1
     offsets = np.arange(0, v, s, dtype=np.uint64)
     smask = np.uint64((1 << s) - 1)
@@ -151,8 +147,8 @@ def _packed_keys(parent: BlockDesign):
 def _sweep_limit(keep_members: bool) -> tuple[int, str]:
     """The bound that applies to a sweep, and its name in refusals."""
     if keep_members:
-        return SWEEP_LIMIT, "sweep limit"
-    return COUNTS_ONLY_LIMIT, "counts-only sweep limit"
+        return blocks.SWEEP_LIMIT, "sweep limit"
+    return blocks.COUNTS_ONLY_LIMIT, "counts-only sweep limit"
 
 
 def classify_level(
@@ -184,7 +180,7 @@ def classify_level(
         )
     packed_keys = _keys or _packed_keys(parent)
     table: dict[tuple[int, ...], list] = {}  # key words -> [count, member pieces]
-    for subs in level_chunks(v, n, max(1, CHUNK_CELLS // parent.b)):
+    for subs in level_chunks(v, n, max(1, blocks.CHUNK_CELLS // parent.b)):
         keys = packed_keys(subs)
         order = np.lexsort(keys[::-1])  # stable: members stay in enumeration order
         ordered = keys[:, order]
@@ -300,7 +296,7 @@ def analyze(sub: Subdivision) -> SubdivisionReport:
             raise DesignError("analysis needs retained class members")
         fams.append(cls.to_family(name=f"class-{n}-{j}"))
         keys.append((n, j))
-        designs_flags.append(cls.params is not None or n == 0 or n == v)
+        designs_flags.append(fams[-1].counts_as_design)
 
     matrix = friends_matrix(fams)
     unfriendly = np.triu(~matrix, 1)  # distinct pairs that are not friends

@@ -44,10 +44,8 @@ def _params_str(d: BlockDesign) -> str:
     return f"v={d.v} b={d.b} k={d.k} raw family"
 
 
-def _params_json(d: BlockDesign):
-    if d.params is None:
-        return None
-    return list(d.params)
+def _params_json(params):
+    return list(params) if params else None
 
 
 def _read_text(path: str) -> str:
@@ -71,25 +69,40 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _write_designs(outdir: Path, files, note: str) -> list[str]:
+    """Write each (file name, design, comment) triple into outdir, made if
+    missing, and return the paths written.  A design that save_design
+    refuses (the empty-block one has no file form) is skipped with the
+    note on stderr."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, d, comment in files:
+        try:
+            text = save_design(d, comment=comment)
+        except DesignError:
+            print(f"note: {note}", file=sys.stderr)
+            continue
+        path = outdir / name
+        path.write_text(text, encoding="utf-8")
+        written.append(str(path))
+    return written
+
+
 # ---------------------------------------------------------------- commands
 
 
 def cmd_verify(args) -> int:
     d = _load(args.file, raw=True)
-    params = d.params
-    witness = "" if params else detect_params(d.blocks, d.v)[1]  # only a failure needs it
-    ok = params is not None
+    ok = d.params is not None
+    witness = "" if ok else detect_params(d.blocks, d.v)[1]  # only a failure needs it
     payload = {
         "file": args.file,
         "is_design": ok,
-        "params": list(params) if params else None,
+        "params": _params_json(d.params),
         "witness": witness or None,
     }
-    if ok:
-        _emit(args, payload, [f"design: {_params_str(d)}"])
-        return 0
-    _emit(args, payload, [f"not a design: {witness}"])
-    return 1
+    _emit(args, payload, [f"design: {_params_str(d)}" if ok else f"not a design: {witness}"])
+    return 0 if ok else 1
 
 
 def cmd_profile(args) -> int:
@@ -107,7 +120,7 @@ def cmd_profile(args) -> int:
     ]
     payload = {
         "design": d.name,
-        "params": _params_json(d),
+        "params": _params_json(d.params),
         "set": sorted(labels),
         "profile": list(p.display),
         "profile_full": list(p.z),
@@ -174,7 +187,7 @@ def _class_json(cls) -> dict:
         "n": cls.n,
         "signature": list(cls.signature.display),
         "size": cls.size,
-        "params": list(cls.params) if cls.params else None,
+        "params": _params_json(cls.params),
         "witness": cls.witness or None,
     }
 
@@ -186,7 +199,7 @@ def cmd_classify(args) -> int:
         raise DesignError("analysis needs retained class members" if args.all
                           else "class members were not retained")
     lines = [f"parent: {parent.name} ({_params_str(parent)})"]
-    payload: dict = {"parent": parent.name, "params": _params_json(parent)}
+    payload: dict = {"parent": parent.name, "params": _params_json(parent.params)}
     if args.n is not None:
         levels = {args.n: classify_level(parent, args.n, keep_members=keep)}
         sub = None
@@ -237,25 +250,14 @@ def cmd_classify(args) -> int:
             }
     if args.emit_classes:
         outdir = Path(args.emit_classes)
-        outdir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for n, classes in sorted(levels.items()):
-            for j, cls in enumerate(classes):
-                if cls.members is None:
-                    continue
-                if n == 0:
-                    print(
-                        "note: skipping n=0 class (empty set has no file form)",
-                        file=sys.stderr,
-                    )
-                    continue
-                fam = cls.to_family()
-                header = (
-                    f"parent: {parent.name}\nn: {n}\nsignature: {cls.signature}"
-                )
-                path = outdir / f"{parent.name}-n{n}-class{j + 1}.design"
-                path.write_text(save_design(fam, comment=header), encoding="utf-8")
-                written.append(str(path))
+        files = (
+            (f"{parent.name}-n{n}-class{j + 1}.design", cls.to_family(),
+             f"parent: {parent.name}\nn: {n}\nsignature: {cls.signature}")
+            for n, classes in sorted(levels.items())
+            for j, cls in enumerate(classes)
+            if cls.members is not None
+        )
+        written = _write_designs(outdir, files, "skipping n=0 class (empty set has no file form)")
         lines.append(f"wrote {len(written)} class files to {outdir}")
         payload["emitted"] = written
     _emit(args, payload, lines)
@@ -341,7 +343,7 @@ def cmd_pg(args) -> int:
     Path(args.output).write_text(out, encoding="utf-8")
     _emit(
         args,
-        {"order": q, "params": list(d.params), "output": args.output},
+        {"order": q, "params": _params_json(d.params), "output": args.output},
         [f"wrote pg2-{q}: {_params_str(d)} -> {args.output}"],
     )
     return 0
@@ -377,15 +379,8 @@ def cmd_catalog(args) -> int:
               [f"wrote {entry.name} -> {args.output}"])
         return 0
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for d in entry.members:
-        if d.b == 1 and d.blocks[0] == 0:
-            print("note: the empty-block member has no file form", file=sys.stderr)
-            continue
-        path = outdir / f"{d.name}.design"
-        path.write_text(save_design(d, comment=entry.provenance), encoding="utf-8")
-        written.append(str(path))
+    files = ((f"{d.name}.design", d, entry.provenance) for d in entry.members)
+    written = _write_designs(outdir, files, "the empty-block member has no file form")
     _emit(args, {"name": entry.name, "written": written},
           [f"wrote {len(written)} member files to {outdir}"])
     return 0

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import index
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from . import blocks
 from .blocks import (
-    CHUNK_CELLS,
     as_mask,
     format_block,
     full_mask,
     labels_from_mask,
     later_copies,
     level_masks,
-    MAX_GROUND,
 )
 
 
@@ -62,10 +62,13 @@ def frozen_masks(masks) -> np.ndarray:
     return out
 
 
-def check_ground(v: int) -> None:
-    """Raise DesignError unless a ground set of v points fits a mask."""
-    if not 1 <= v <= MAX_GROUND:
-        raise DesignError(f"ground set size {v} outside 1..{MAX_GROUND}")
+def check_ground(v: int) -> int:
+    """v as a Python int, so no numpy integer reaches mask arithmetic or
+    params; raise DesignError unless a ground set of v points fits a mask."""
+    v = index(v)
+    if not 1 <= v <= blocks.MAX_GROUND:
+        raise DesignError(f"ground set size {v} outside 1..{blocks.MAX_GROUND}")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +87,7 @@ class BlockDesign:
     name: str = ""
 
     def __post_init__(self):
-        check_ground(self.v)
+        object.__setattr__(self, "v", check_ground(self.v))
         object.__setattr__(self, "blocks", frozen_masks(self.blocks))
 
     @property
@@ -123,8 +126,8 @@ def _normalize_blocks(blocks: Iterable, v: int) -> np.ndarray:
     """The blocks as uint64 masks, checked in input order: the first block
     that is out of range, has bad labels or repeats an earlier block raises.
     A uint64 array of distinct masks of subsets of 1..v, as a parsed file
-    gives it, is checked in bulk and returned as it is."""
-    check_ground(v)
+    gives it, is checked in bulk and returned as it is.  v is a Python int
+    that check_ground has passed."""
     if isinstance(blocks, np.ndarray) and blocks.dtype == np.uint64 and blocks.ndim == 1:
         if blocks.size and not (blocks >> v).any() and not later_copies(blocks).any():
             return blocks
@@ -148,6 +151,7 @@ def detect_design(blocks, v: int) -> tuple[Optional[DesignParams], str]:
     labels are input errors and raise, they are not a verdict.
     Block size 1 is accepted with lambda = 0 (no pair ever occurs).
     """
+    v = check_ground(v)
     return detect_params(_normalize_blocks(blocks, v), v)
 
 
@@ -168,7 +172,7 @@ def detect_params(masks: np.ndarray, v: int) -> tuple[Optional[DesignParams], st
     # of CHUNK_CELLS // v blocks, each a float32 BLAS product of its block x
     # element incidences; exact while a piece holds under 2^24 blocks
     gram = np.zeros((v, v))
-    step = max(1, CHUNK_CELLS // v)
+    step = max(1, blocks.CHUNK_CELLS // v)
     for lo in range(0, len(masks), step):
         piece = np.ascontiguousarray(masks[lo : lo + step], dtype="<u8").view(np.uint8)
         incidence = np.unpackbits(piece, bitorder="little").reshape(-1, 64)[:, :v].astype(np.float32)
@@ -199,6 +203,7 @@ def detect_params(masks: np.ndarray, v: int) -> tuple[Optional[DesignParams], st
 
 def design(v: int, blocks, name: str = "") -> BlockDesign:
     """Build a validated design; raises DesignError with a witness if axioms fail."""
+    v = check_ground(v)
     masks = _normalize_blocks(blocks, v)
     params, witness = detect_params(masks, v)
     if params is None and masks.any():  # the empty-block design is degenerate
@@ -208,6 +213,7 @@ def design(v: int, blocks, name: str = "") -> BlockDesign:
 
 def family(v: int, blocks, name: str = "") -> BlockDesign:
     """Build a raw family of distinct equal-sized blocks; params attach only if valid."""
+    v = check_ground(v)
     masks = _normalize_blocks(blocks, v)
     sizes = np.unique(np.bitwise_count(masks))
     if sizes.size != 1:
@@ -223,6 +229,7 @@ def empty_design(v: int) -> BlockDesign:
 def whole_design(v: int) -> BlockDesign:
     """The degenerate design whose single block is all of V; lambda = 0 at
     v = 1, where no pair exists."""
+    v = check_ground(v)
     return BlockDesign(v, (full_mask(v),), DesignParams(v, 1, 1, v, int(v > 1)), f"full-{v}")
 
 
@@ -231,7 +238,7 @@ def full_design(v: int, k: int, name: str | None = None) -> BlockDesign:
 
     k = 0 and k = v give the degenerate designs.  k = 1 stores lambda = 0.
     """
-    check_ground(v)
+    v, k = check_ground(v), index(k)
     if not 0 <= k <= v:
         raise DesignError(f"block size {k} outside 0..{v}")
     if k == 0:

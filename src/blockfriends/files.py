@@ -21,7 +21,8 @@ from operator import itemgetter, not_
 
 import numpy as np
 
-from .blocks import label_rows, later_copies, mask_from_labels, MAX_GROUND
+from . import blocks
+from .blocks import label_rows, later_copies, mask_from_labels
 from .designs import BlockDesign, DesignError, design, family
 
 
@@ -47,8 +48,8 @@ def _ground_size(lineno: int, header: str) -> int:
         v = int(header[2:])
     except ValueError:
         raise DesignFileError(lineno, f"bad ground-set size {header!r}") from None
-    if not 1 <= v <= MAX_GROUND:
-        raise DesignFileError(lineno, f"v={v} outside 1..{MAX_GROUND}")
+    if not 1 <= v <= blocks.MAX_GROUND:
+        raise DesignFileError(lineno, f"v={v} outside 1..{blocks.MAX_GROUND}")
     return v
 
 
@@ -70,7 +71,7 @@ def _parse(text: str) -> tuple[int, np.ndarray]:
     try:
         lab = np.array(labels, dtype=np.int64)
     except OverflowError:  # past int64 is out of range either way
-        lab = np.array(labels, dtype=object).clip(0, MAX_GROUND + 1).astype(np.int64)
+        lab = np.array(labels, dtype=object).clip(0, blocks.MAX_GROUND + 1).astype(np.int64)
     # the row of the first token int() rejects, len(rows) if there is none;
     # a later v= line is such a row, as its first token starts with "v="
     bad = int(np.searchsorted(ends, len(labels), side="right"))
@@ -84,9 +85,9 @@ def _parse(text: str) -> tuple[int, np.ndarray]:
     if not rows:
         raise DesignFileError(1, "no blocks in file")
 
-    v = v_declared or min(int(lab.max()), MAX_GROUND)
+    v = v_declared or min(int(lab.max()), blocks.MAX_GROUND)
     starts = ends - counts
-    shifts = (np.minimum(lab, MAX_GROUND) - 1).astype(np.uint64)
+    shifts = (np.minimum(lab, blocks.MAX_GROUND) - 1).astype(np.uint64)
     bits = np.where(lab <= v, np.left_shift(np.uint64(1), shifts), np.uint64(0))
     masks = np.bitwise_or.reduceat(bits, starts)
     # a label out of range adds no bit and a repeated one adds none twice

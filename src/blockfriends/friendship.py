@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import CHUNK_CELLS, SWEEP_LIMIT, full_mask, subset_sums
+from . import blocks
+from .blocks import full_mask, subset_sums
 from .designs import BlockDesign, DesignError, full_design
 from .profiles import (
     IntersectionProfile,
@@ -124,7 +125,7 @@ def constant_profiles(fams: list[BlockDesign]) -> np.ndarray:
     starts = np.cumsum([0] + [d.b for d in fams[:-1]])
     const = np.ones((n, n), dtype=bool)
     direct = [a for a in range(n) if fams[a].k > 0]
-    width = max(1, CHUNK_CELLS >> v)
+    width = max(1, blocks.CHUNK_CELLS >> v)
     for lo in range(0, len(direct), width):
         members = direct[lo : lo + width]
         dtype = np.result_type(*(_moment_dtype(fams[a].b, fams[a].k) for a in members))
@@ -153,7 +154,7 @@ def _lattice_pays(fams: list[BlockDesign]) -> bool:
     bs = [d.b for d in fams]
     pair_cells = (sum(bs) ** 2 + sum(b * b for b in bs)) // 2  # sum over i <= j
     v = fams[0].v
-    return v <= SWEEP_LIMIT and (1 << v) * sum(d.k + 1 for d in fams) <= pair_cells
+    return v <= blocks.SWEEP_LIMIT and (1 << v) * sum(d.k + 1 for d in fams) <= pair_cells
 
 
 def friends_matrix(fams: list[BlockDesign]) -> np.ndarray:

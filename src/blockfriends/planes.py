@@ -9,16 +9,9 @@ from .fields import FieldTables
 
 
 def _normalized_points(q: int) -> list[tuple[int, int, int]]:
-    # one representative per projective class: first nonzero coordinate is 1
-    pts = []
-    for t in product(range(q), repeat=3):
-        if t == (0, 0, 0):
-            continue
-        first = next(x for x in t if x != 0)
-        if first == 1:
-            pts.append(t)
-    pts.sort()
-    return pts
+    # one representative per projective class: first nonzero coordinate is
+    # 1; product yields the triples in lexicographic order
+    return [t for t in product(range(q), repeat=3) if next(filter(None, t), 0) == 1]
 
 
 def projective_plane(f: FieldTables) -> BlockDesign:
@@ -34,17 +27,16 @@ def projective_plane(f: FieldTables) -> BlockDesign:
     n = q * q + q + 1
     check_ground(n)
     pts = _normalized_points(q)
-    index = {p: i + 1 for i, p in enumerate(pts)}
     blocks = []
     for coeff in pts:
         line = []
-        for p in pts:
+        for label, p in enumerate(pts, start=1):  # labels ascend, so line does
             s = 0
             for c, x in zip(coeff, p):
                 s = add[s][mul[c][x]]
             if s == 0:
-                line.append(index[p])
-        blocks.append(tuple(sorted(line)))
+                line.append(label)
+        blocks.append(tuple(line))
     blocks.sort()
     d = design(len(pts), blocks, name=f"pg2-{q}")
     expected = DesignParams(n, n, q + 1, q + 1, 1)

@@ -13,7 +13,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .blocks import CHUNK_CELLS, as_mask
+from . import blocks
+from .blocks import as_mask
 from .designs import BlockDesign, DesignError, DesignParams
 
 
@@ -64,7 +65,7 @@ def profile_pieces(d: BlockDesign, probes) -> Iterator[tuple[int, np.ndarray]]:
     """(lo, rows) for consecutive pieces of max(1, CHUNK_CELLS // d.b)
     probes, so each piece holds about CHUNK_CELLS intersection cells: row i
     of rows is the profile of d against probes[lo + i]."""
-    step = max(1, CHUNK_CELLS // d.b)
+    step = max(1, blocks.CHUNK_CELLS // d.b)
     for lo in range(0, len(probes), step):
         yield lo, profile_rows(intersection_sizes(probes[lo : lo + step], d.blocks), d.k)
 

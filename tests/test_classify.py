@@ -1,13 +1,17 @@
 import random
 import tracemalloc
+from collections import Counter
 from importlib import resources
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import blockfriends.blocks as blocks_mod
 import blockfriends.classify as classify_mod
 import blockfriends.friendship as friendship_mod
+import blockfriends.profiles as profiles_mod
 from blockfriends import (
     DesignError,
     DesignParams,
@@ -38,8 +42,10 @@ from blockfriends import (
     theorem_k4_classes,
     whole_design,
 )
-from blockfriends.blocks import level_chunks
-from blockfriends.profiles import intersection_sizes, profile_rows
+from blockfriends.blocks import level_chunks, level_masks
+from blockfriends.designs import detect_params
+from blockfriends.friendship import constant_profiles
+from blockfriends.profiles import intersection_sizes, profile_pieces, profile_rows
 from oracle_util import brute_classify, labels, pairwise_friends_matrix
 
 PG24 = projective_plane(load_field_tables(
@@ -365,7 +371,7 @@ def parents(draw):
 def test_classify_level_matches_oracle(parent, data, chunk_cells):
     n = data.draw(st.integers(min_value=0, max_value=parent.v))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_mod, "CHUNK_CELLS", chunk_cells)
+        mp.setattr(blocks_mod, "CHUNK_CELLS", chunk_cells)
         got = classify_level(parent, n)
     assert _as_oracle(got) == _oracle(parent, n)
 
@@ -378,7 +384,7 @@ def test_counts_only_level_matches_oracle(parent, data, chunk_cells):
     classes, have the oracle's signatures and sizes."""
     n = data.draw(st.integers(min_value=0, max_value=parent.v))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_mod, "CHUNK_CELLS", chunk_cells)
+        mp.setattr(blocks_mod, "CHUNK_CELLS", chunk_cells)
         got = classify_level(parent, n, keep_members=False)
     assert all(c.members is None for c in got)
     assert [(c.signature.z, c.size) for c in got] == [
@@ -435,7 +441,7 @@ def test_wide_parent_level_memory_is_flat(keep_members):
 def test_counts_only_level_above_members_limit():
     """Counts-only levels may exceed 2^SWEEP_LIMIT subsets; members mode may not."""
     big = full_design(27, 1)
-    assert comb(27, 13) > 1 << classify_mod.SWEEP_LIMIT
+    assert comb(27, 13) > 1 << blocks_mod.SWEEP_LIMIT
     (cls,) = classify_level(big, 13, keep_members=False)
     assert (cls.signature.z, cls.size) == ((14, 13), comb(27, 13))
     with pytest.raises(DesignError, match="counts-only sweep limit 2\\^31"):
@@ -550,7 +556,7 @@ def _assert_packed_keys(parent, n, chunk_cells):
     chunk_cells."""
     weights = classify_mod._key_weights(parent.b, parent.k)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_mod, "CHUNK_CELLS", chunk_cells)
+        mp.setattr(blocks_mod, "CHUNK_CELLS", chunk_cells)
         keys = classify_mod._packed_keys(parent)
     for subs in level_chunks(parent.v, n, max(1, chunk_cells // parent.b)):
         rows = profile_rows(intersection_sizes(subs, parent.blocks), parent.k)
@@ -628,3 +634,51 @@ def test_signatures_decoded_at_digit_edges(parent, levels):
     zeros = (0,) * parent.k
     for n, z in ((0, (parent.b,) + zeros), (parent.v, zeros + (parent.b,))):
         assert [c.signature.z for c in classify_level(parent, n, keep_members=False)] == [z]
+
+
+def test_one_patch_reaches_every_chunked_kernel(monkeypatch):
+    """blocks.CHUNK_CELLS, set alone, sizes the pieces of every chunked
+    kernel: on the Fano plane and its 35 triples, profile_pieces,
+    detect_params' Gram sum, classify_level's level walk and
+    constant_profiles' lattice columns each take one piece at the default
+    and more than one at 64 cells.  Counting spies see the pieces."""
+    parent, triples, pair = fano(), level_masks(7, 3), [fano(), full_design(7, 2)]
+    pieces = Counter()
+    rows, unpack = profiles_mod.profile_rows, np.unpackbits
+    chunks, sums = classify_mod.level_chunks, friendship_mod.subset_sums
+
+    def counted_rows(*args):
+        pieces["profile_pieces"] += 1
+        return rows(*args)
+
+    def counted_unpack(*args, **kwargs):
+        pieces["detect_params"] += 1
+        return unpack(*args, **kwargs)
+
+    def counted_chunks(*args):
+        for piece in chunks(*args):
+            pieces["classify_level"] += 1
+            yield piece
+
+    def counted_sums(a, v, *args, supersets=False, **kwargs):
+        pieces["constant_profiles"] += supersets  # one superset sum a column block
+        return sums(a, v, *args, supersets=supersets, **kwargs)
+
+    monkeypatch.setattr(profiles_mod, "profile_rows", counted_rows)
+    monkeypatch.setattr(np, "unpackbits", counted_unpack)  # detect_params' piece step
+    monkeypatch.setattr(classify_mod, "level_chunks", counted_chunks)
+    monkeypatch.setattr(friendship_mod, "subset_sums", counted_sums)
+
+    def walk():
+        pieces.clear()
+        list(profile_pieces(parent, triples))
+        detect_params(triples, 7)
+        classify_level(parent, 3, keep_members=False)  # calls no detect_params
+        constant_profiles(pair)
+        return dict(pieces)
+
+    kernels = ["profile_pieces", "detect_params", "classify_level", "constant_profiles"]
+    assert walk() == dict.fromkeys(kernels, 1)
+    monkeypatch.setattr(blocks_mod, "CHUNK_CELLS", 64)
+    split = walk()
+    assert sorted(split) == sorted(kernels) and min(split.values()) > 1, split

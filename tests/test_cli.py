@@ -166,6 +166,24 @@ def test_classify_emit_classes(capsys, tmp_path, fano_file):
     assert total == 2 ** 7 - 1
 
 
+def test_no_file_form_notes(capsys, tmp_path, fano_file):
+    """The Fano subdivision's empty-set class and fano_family's empty-block
+    member have no file form: each directory writer skips it with one note
+    on stderr, and its --json list names exactly the files on disk."""
+    classes, members = tmp_path / "classes", tmp_path / "members"
+    code, out, err = run(capsys, "--json", "classify", fano_file, "--all",
+                         "--emit-classes", str(classes))
+    assert code == 0
+    assert err == "note: skipping n=0 class (empty set has no file form)\n"
+    emitted = json.loads(out)["emitted"]
+    assert sorted(emitted) == sorted(map(str, classes.iterdir())) and len(emitted) == 9
+    code, out, err = run(capsys, "--json", "catalog", "export", "fano_family", "-o", str(members))
+    assert code == 0
+    assert err == "note: the empty-block member has no file form\n"
+    written = json.loads(out)["written"]
+    assert sorted(written) == sorted(map(str, members.iterdir())) and len(written) == 9
+
+
 def test_classify_requires_mode(capsys, s1_file):
     with pytest.raises(SystemExit) as exc:
         main(["classify", s1_file])

@@ -1,4 +1,5 @@
 import gc
+import json
 import tracemalloc
 from collections import deque
 from importlib import resources
@@ -29,7 +30,7 @@ from blockfriends import (
     subsets_of_size,
     whole_design,
 )
-import blockfriends.designs as designs_mod
+import blockfriends.blocks as blocks_mod
 from blockfriends.blocks import (
     as_mask,
     labels_from_mask,
@@ -40,7 +41,7 @@ from blockfriends.blocks import (
 )
 from blockfriends.classify import classify_level
 from blockfriends.designs import detect_params
-from blockfriends.profiles import CHUNK_CELLS
+from blockfriends.blocks import CHUNK_CELLS
 from oracle_util import BruteBlockError, brute_blocks, brute_detect, brute_labels, labels
 
 
@@ -179,7 +180,7 @@ def test_detect_params_pieces_keep_verdicts(monkeypatch, chunk_cells):
     the brute-force verdict."""
     classes = [c for n in (5, 6) for c in classify_level(sts13_s1(), n)]
     assert any(c.witness.startswith("pair") for c in classes)
-    monkeypatch.setattr(designs_mod, "CHUNK_CELLS", chunk_cells)
+    monkeypatch.setattr(blocks_mod, "CHUNK_CELLS", chunk_cells)
     for c in classes:
         params, witness = detect_params(c.members, 13)
         assert (params, witness) == (c.params, c.witness)
@@ -228,6 +229,17 @@ def test_numpy_integers_read_as_python_ints():
     assert _outcome(design, 7, [1, np.uint64(1 << 7)]) == (
         "ValueError", "mask 0x80 not within ground set of size 7"
     )
+
+
+def test_numpy_integer_sizes_read_as_python_ints():
+    """Ground and block sizes given as numpy integers are read as Python
+    ints before any mask arithmetic, so a 64-point level raises no scalar
+    overflow and params serialize to JSON."""
+    assert full_design(np.int64(64), np.int64(63)).blocks.size == 64
+    assert whole_design(np.int64(63)).blocks.tolist() == [(1 << 63) - 1]
+    for d in (full_design(7, np.int64(3)), design(np.int64(7), fano().block_labels())):
+        assert json.loads(json.dumps(list(d.params))) == list(d.params)
+        assert {type(d.v), *map(type, d.params)} == {int}
 
 
 def test_degenerate_designs():

@@ -39,6 +39,7 @@ from blockfriends import (
     sts13_s2,
     transitive_reduction,
 )
+from blockfriends import blocks as blocks_mod
 from blockfriends import families as families_mod
 from blockfriends import friendship as friendship_mod
 from blockfriends.families import power_set_owner
@@ -532,7 +533,7 @@ def test_block_size_does_not_change_results(monkeypatch, case):
         const = kernel(fams)
         for columns, mixed in ((1, False), (2, False), (3, False), (3, True)):
             with monkeypatch.context() as m:
-                m.setattr(friendship_mod, "CHUNK_CELLS", columns << v)
+                m.setattr(blocks_mod, "CHUNK_CELLS", columns << v)
                 if mixed:
                     m.setattr(friendship_mod, "_moment_dtype",
                               lambda b, k: np.int64 if k % 2 else np.int32)

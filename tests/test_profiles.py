@@ -23,7 +23,7 @@ from blockfriends import (
     sts13_s2,
     theoretical_self_profile,
 )
-import blockfriends.profiles as profiles_mod
+import blockfriends.blocks as blocks_mod
 from blockfriends.classify import classify_level
 from blockfriends.profiles import intersection_sizes, profile_pieces, profile_rows
 from oracle_util import brute_profile, labels
@@ -176,7 +176,7 @@ def test_profile_pieces_join_to_one_piece(monkeypatch, per_piece):
     pairs += [(parent, cls.blocks), (cls, parent.blocks)]
     for d, probes in pairs:
         whole = profile_rows(intersection_sizes(probes, d.blocks), d.k)
-        monkeypatch.setattr(profiles_mod, "CHUNK_CELLS", per_piece * d.b)
+        monkeypatch.setattr(blocks_mod, "CHUNK_CELLS", per_piece * d.b)
         pieces = list(profile_pieces(d, probes))
         assert [lo for lo, _ in pieces] == list(range(0, len(probes), per_piece))
         assert np.array_equal(np.concatenate([rows for _, rows in pieces]), whole)

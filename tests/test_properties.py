@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import blockfriends.profiles as profiles_mod
+import blockfriends.blocks as blocks_mod
 
 from blockfriends import (
     are_friends,
@@ -233,7 +233,7 @@ def test_chunked_are_friends_matches_oracle(pair, chunk_cells):
     piece, give the oracle's verdict, profiles and witness."""
     a, b = pair
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(profiles_mod, "CHUNK_CELLS", chunk_cells)
+        mp.setattr(blocks_mod, "CHUNK_CELLS", chunk_cells)
         got = are_friends(a, b)
     friends, p12, p21 = brute_friends(labels(a), a.k, labels(b), b.k)
     assert got.friends == friends
